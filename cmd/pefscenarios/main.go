@@ -52,8 +52,8 @@
 //	                 lockstep engine, up to 64 seeds per machine word
 //	                 (default true; -lockstep=false forces the scalar
 //	                 engine — output is byte-identical either way)
-//	-lanewidth N     scenarios batched per worker job for lane packing
-//	                 (default 1024; ignored with -lockstep=false)
+//	-lanewidth N     lane-packing window: consecutive scenarios grouped
+//	                 by shape into lane runs (default 1024)
 //	-timings         record the campaign's wall time: a trailing line in
 //	                 report mode, the "millis" field in -json mode (the
 //	                 only field that varies run to run)
@@ -130,6 +130,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -162,7 +163,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		weights    = fs.String("family-weights", "", "weighted family pool for the registered generator, e.g. \"bernoulli=3,periodic=1\"")
 		maxRing    = fs.Int("maxring", 16, "largest sampled ring size")
 		lockstep   = fs.Bool("lockstep", true, "run shape-aligned scenarios on the bit-parallel lane engine")
-		laneWidth  = fs.Int("lanewidth", 0, "scenarios batched per worker job for lane packing (<1 means 1024)")
+		laneWidth  = fs.Int("lanewidth", 0, "lane-packing window: consecutive scenarios grouped by shape into lane runs (<1 means 1024)")
 		timings    = fs.Bool("timings", false, "record the campaign's wall time in the output")
 		jsonOut    = fs.Bool("json", false, "emit the versioned campaign document")
 		list       = fs.Bool("list", false, "list the registry contents and exit")
@@ -556,7 +557,8 @@ func runMerge(paths []string, jsonOut bool, stdout io.Writer) error {
 
 // writeRotatingCheckpoint writes the aggregate's checkpoint to path.1,
 // rotating the previous one to path.2 (keep last two), via fsync and an
-// atomic rename so a kill mid-write never corrupts an existing file.
+// atomic rename so a kill mid-write never corrupts an existing file, and
+// a directory fsync so a crash cannot undo the rotation.
 func writeRotatingCheckpoint(path string, agg *scenario.Aggregate) error {
 	data, err := agg.Checkpoint().Encode()
 	if err != nil {
@@ -583,5 +585,18 @@ func writeRotatingCheckpoint(path string, agg *scenario.Aggregate) error {
 			return err
 		}
 	}
-	return os.Rename(tmp, path+".1")
+	if err := os.Rename(tmp, path+".1"); err != nil {
+		return err
+	}
+	// The renames live in the parent directory: sync it too, or a crash
+	// can lose the rotation even though the file data is on disk.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }

@@ -43,7 +43,7 @@
 //	-maxrobots N       largest sampled team (default 5)
 //	-workers M         worker pool size; <1 means GOMAXPROCS
 //	-lockstep          bit-parallel lane engine (default true)
-//	-lanewidth N       lane packing width (default 1024)
+//	-lanewidth N       lane-packing window in specs (default 1024)
 //	-json              emit the boundary-report document instead of text
 //	-checkpoint P      write a resumable search checkpoint to P on finish
 //	                   or halt
@@ -76,6 +76,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 
@@ -110,7 +111,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxRobots  = fs.Int("maxrobots", 0, "largest sampled team size (default 5)")
 		workers    = fs.Int("workers", 0, "worker pool size (<1 means GOMAXPROCS)")
 		lockstep   = fs.Bool("lockstep", true, "run shape-aligned specs on the bit-parallel lane engine")
-		laneWidth  = fs.Int("lanewidth", 0, "specs batched per worker job for lane packing (<1 means 1024)")
+		laneWidth  = fs.Int("lanewidth", 0, "lane-packing window: consecutive specs grouped by shape into lane runs (<1 means 1024)")
 		jsonOut    = fs.Bool("json", false, "emit the boundary-report document instead of the text report")
 		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint to this path on finish or halt")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "write a rotating checkpoint every N generations")
@@ -329,7 +330,8 @@ func loadResumeCheckpoint(path string, stderr io.Writer) (*search.Checkpoint, er
 
 // writeRotatingCheckpoint writes the checkpoint to path.1, rotating the
 // previous one to path.2 (keep last two), via fsync and an atomic rename
-// so a kill mid-write never corrupts an existing file.
+// so a kill mid-write never corrupts an existing file, and a directory
+// fsync so a crash cannot undo the rotation.
 func writeRotatingCheckpoint(path string, ck *search.Checkpoint) error {
 	data, err := ck.Encode()
 	if err != nil {
@@ -356,5 +358,18 @@ func writeRotatingCheckpoint(path string, ck *search.Checkpoint) error {
 			return err
 		}
 	}
-	return os.Rename(tmp, path+".1")
+	if err := os.Rename(tmp, path+".1"); err != nil {
+		return err
+	}
+	// The renames live in the parent directory: sync it too, or a crash
+	// can lose the rotation even though the file data is on disk.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }

@@ -5,38 +5,49 @@ import (
 	"iter"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // PoolConfig parameterizes StreamPool and RunPool, the generic indexed
 // worker pool behind every batch-style sweep in this repository. The pool
-// knows nothing about experiments: jobs are plain indices 0..Total-1 and
-// results are any type, so the experiment index, scenario campaigns, and
-// future workloads all share one scheduling and determinism engine.
+// knows nothing about experiments: jobs are plain indices and results
+// are any type, so the experiment index, scenario campaigns, and future
+// workloads all share one scheduling and determinism engine.
 type PoolConfig[R any] struct {
-	// Total is the number of jobs, addressed 0..Total-1.
+	// Total is the number of jobs, addressed 0..Total-1. It is ignored
+	// when Feed supplies the jobs.
 	Total int
 	// Workers bounds the worker pool; values < 1 mean GOMAXPROCS.
 	Workers int
-	// Window bounds the reorder buffer: at most Window jobs are dispatched
-	// beyond the in-order emission cursor, so pool memory is O(Window)
-	// regardless of Total. Values < 1 mean 8× the worker count. Emission
-	// order — and therefore every report — is unaffected by the value.
+	// Window bounds the reorder buffer. Every job holds permits from its
+	// dispatch until its emission — one, unless Feed weighs it otherwise
+	// — and the dispatcher starts a job only while fewer than Window
+	// permits are held, so pool memory is O(Window) regardless of the job
+	// count. Values < 1 mean 8× the worker count. Emission order — and
+	// therefore every report — is unaffected by the value.
 	Window int
 	// Run executes job i on a worker goroutine. It must contain its own
 	// panic recovery: the pool does not guess how to turn a panic into an
-	// R (see runJob for the experiment-index convention).
+	// R (see runJob for the experiment-index convention). It is unused
+	// when Feed supplies the jobs.
 	Run func(i int) R
-	// Feed, when non-nil, is invoked from the dispatching goroutine in
-	// strict index order immediately before job i is handed to a worker.
-	// It lets callers materialize job i's input lazily from a sequential
-	// stream (e.g. a seeded scenario sampler) while holding only a
-	// Window-sized buffer: Feed(i) happens-before Run(i), and slot i is
-	// not reused before job i-Window has been emitted.
-	Feed func(i int)
+	// Feed, when non-nil, supplies the jobs lazily in place of Total and
+	// Run, so the job count need not be known up front: a caller can
+	// draw its input from a sequential stream (e.g. a seeded scenario
+	// sampler) and split it into jobs as it goes. The dispatcher calls
+	// Feed(i) from its own goroutine, in strict index order, while fewer
+	// than Window permits are held, and hands the returned run to a
+	// worker as job i — Feed(i) happens-before run. A nil run ends the
+	// stream. weight is the number of permits job i holds; a zero weight
+	// rides on the permits of earlier jobs, which lets a caller charge
+	// the window per batch of jobs rather than per job.
+	Feed func(i int) (run func() R, weight int)
 	// Placeholder, when non-nil, builds the result slot of a job skipped
 	// by cancellation, so it still renders with its identity. It is only
 	// invoked for skipped jobs, in ascending index order, after every
-	// dispatched job has finished; executed jobs never see it.
+	// dispatched job has finished; executed jobs never see it. A Feed
+	// stream has no skipped jobs to fill in: it yields the jobs that ran,
+	// and its caller knows what it fed.
 	Placeholder func(i int) R
 	// Cancelled, when non-nil, rewrites the (placeholder) result of a job
 	// that never ran because the context was cancelled.
@@ -63,14 +74,14 @@ type PoolItem[R any] struct {
 	Err error
 }
 
-// StreamPool fans Total jobs out across a bounded worker pool and yields
-// one PoolItem per job in strict index order. Results are collected
+// StreamPool fans jobs out across a bounded worker pool and yields one
+// PoolItem per job in strict index order. Results are collected
 // unordered but the yielded sequence is identical for any worker count,
 // so streamed output is bit-for-bit reproducible.
 //
 // Unlike a collect-then-report pool, StreamPool holds O(Window) state: a
-// permit scheme stops the dispatcher from running more than Window jobs
-// ahead of the emission cursor, and emitted results are dropped
+// permit scheme stops the dispatcher from running more than Window
+// permits ahead of the emission cursor, and emitted results are dropped
 // immediately. Consumers that need the full slice use RunPool.
 //
 // On cancellation, in-flight jobs finish and are yielded normally; jobs
@@ -81,15 +92,15 @@ type PoolItem[R any] struct {
 func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem[R]] {
 	return func(yield func(PoolItem[R]) bool) {
 		total := cfg.Total
-		if total <= 0 {
-			return
-		}
 		workers := cfg.Workers
 		if workers < 1 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > total {
-			workers = total
+		if cfg.Feed == nil {
+			if total <= 0 {
+				return
+			}
+			workers = min(workers, total)
 		}
 		window := cfg.Window
 		if window < 1 {
@@ -102,47 +113,59 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
 
+		type job struct {
+			i, weight int
+			run       func() R
+		}
 		type indexed struct {
-			i int
-			r R
+			i, weight int
+			r         R
 		}
-		jobs := make(chan int)
-		out := make(chan indexed)
-		// permits carries the dispatch budget: the dispatcher consumes one
-		// token per job and the emitter refunds one per yielded result, so
-		// at most window jobs ever sit between dispatch and emission.
-		permits := make(chan struct{}, window)
-		for i := 0; i < window; i++ {
-			permits <- struct{}{}
-		}
+		jobs := make(chan job)
+		// One slot per worker: a worker that finishes while the emitter is
+		// busy yielding parks its result and moves on to its next job.
+		out := make(chan indexed, workers)
+		// held counts the permits of jobs between dispatch and emission.
+		// The emitter refunds a job's weight once it is yielded and leaves
+		// a token in wake, so a dispatcher waiting on a full window
+		// re-checks the count.
+		var held atomic.Int64
+		wake := make(chan struct{}, 1)
 
-		// Dispatcher: hands out indices in order, stopping as soon as the
-		// context is cancelled. Feed runs here, single-threaded and in
+		// Dispatcher: hands out jobs in index order, stopping as soon as
+		// the context is cancelled. Feed runs here, single-threaded and in
 		// index order; the jobs-channel send publishes its effects to the
 		// worker running the job.
 		m := cfg.Metrics
 		go func() {
 			defer close(jobs)
-			for i := 0; i < total; i++ {
-				select {
-				case <-permits:
-				default:
+			for i := 0; cfg.Feed != nil || i < total; i++ {
+				if held.Load() >= int64(window) {
 					// The window is full: emission is the bottleneck right
-					// now. Count the stall, then wait as before.
+					// now. Count the stall, then wait for a refund.
 					if m != nil {
 						m.PermitWaits.Inc()
 					}
-					select {
-					case <-permits:
-					case <-inner.Done():
+					for held.Load() >= int64(window) {
+						select {
+						case <-wake:
+						case <-inner.Done():
+							return
+						}
+					}
+				}
+				if inner.Err() != nil {
+					return
+				}
+				j := job{i: i, weight: 1}
+				if cfg.Feed != nil {
+					if j.run, j.weight = cfg.Feed(i); j.run == nil {
 						return
 					}
 				}
-				if cfg.Feed != nil {
-					cfg.Feed(i)
-				}
+				held.Add(int64(j.weight))
 				select {
-				case jobs <- i:
+				case jobs <- j:
 					if m != nil {
 						m.Dispatched.Inc()
 						m.InFlight.Add(1)
@@ -159,8 +182,13 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 			go func() {
 				defer wg.Done()
 				ran := 0
-				for i := range jobs {
-					r := cfg.Run(i)
+				for j := range jobs {
+					var r R
+					if j.run != nil {
+						r = j.run()
+					} else {
+						r = cfg.Run(j.i)
+					}
 					if m != nil {
 						m.InFlight.Add(-1)
 					}
@@ -169,7 +197,7 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 					// until it closes, so even on cancellation a finished
 					// job's result is never dropped — "in-flight jobs
 					// finish" and their results are yielded.
-					out <- indexed{i, r}
+					out <- indexed{j.i, j.weight, r}
 				}
 				if m != nil {
 					m.WorkerJobs.Observe(ran)
@@ -181,30 +209,23 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 			close(out)
 		}()
 
-		// Emitter: a Window-sized reorder ring over the unordered
-		// completions. Dispatch is sequential and bounded by the permit
-		// scheme, so slot i%window is free by the time job i's result
-		// arrives. next is the index-order cursor.
-		ring := make([]R, window)
-		done := make([]bool, window)
+		// Emitter: parks the unordered completions until every earlier
+		// job has been yielded. next is the index-order cursor.
+		parked := map[int]indexed{}
 		next := 0
 		stopped := false
-		parked := 0 // completed results awaiting in-order emission
 		for ir := range out {
-			ring[ir.i%window] = ir.r
-			done[ir.i%window] = true
-			parked++
+			parked[ir.i] = ir
 			if m != nil {
-				m.ReorderDepth.Set(int64(parked)) // peak lands in the high-water
+				m.ReorderDepth.Set(int64(len(parked))) // peak lands in the high-water
 			}
-			for next < total && done[next%window] {
-				slot := next % window
-				r := ring[slot]
-				done[slot] = false
-				parked--
-				var zero R
-				ring[slot] = zero // drop the reference immediately
-				if !stopped && !yield(PoolItem[R]{I: next, R: r}) {
+			for {
+				p, ok := parked[next]
+				if !ok {
+					break
+				}
+				delete(parked, next) // drop the reference immediately
+				if !stopped && !yield(PoolItem[R]{I: next, R: p.r}) {
 					stopped = true
 					cancel() // consumer left: stop dispatching, drain below
 				}
@@ -212,10 +233,14 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 					m.Retired.Inc()
 				}
 				next++
-				permits <- struct{}{}
+				held.Add(-int64(p.weight))
+				select {
+				case wake <- struct{}{}:
+				default:
+				}
 			}
 			if m != nil {
-				m.ReorderDepth.Set(int64(parked))
+				m.ReorderDepth.Set(int64(len(parked)))
 			}
 		}
 		if stopped {
@@ -224,9 +249,9 @@ func StreamPool[R any](ctx context.Context, cfg PoolConfig[R]) iter.Seq[PoolItem
 
 		// Dispatched jobs all finished and were yielded; anything left
 		// never ran. The dispatcher has exited (close(out) orders after
-		// it), so Placeholder may safely continue any sequential stream
-		// Feed was drawing from.
-		if err := ctx.Err(); err != nil {
+		// it), so the caller of a Feed stream may continue the input
+		// stream Feed was drawing from once the iteration returns.
+		if err := ctx.Err(); err != nil && cfg.Feed == nil {
 			for i := next; i < total; i++ {
 				var r R
 				if cfg.Placeholder != nil {

@@ -41,61 +41,78 @@ func TestStreamPoolYieldsInOrder(t *testing.T) {
 }
 
 // TestStreamPoolWindowBoundsDispatch pins the O(Window) memory contract:
-// the dispatcher never runs more than Window jobs ahead of the emission
-// cursor, even when the head job stalls arbitrarily long.
+// the dispatcher never runs more than Window permits ahead of the
+// emission cursor, even when the head job stalls arbitrarily long. With
+// one permit per job that is Window jobs; when only every group-th job
+// carries a permit, the jobs between ride on it and the bound is Window
+// groups (the last one cut at its permit-carrying job).
 func TestStreamPoolWindowBoundsDispatch(t *testing.T) {
 	const window = 4
-	release := make(chan struct{})
-	var dispatched atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for item := range StreamPool(context.Background(), PoolConfig[int]{
-			Total:   100,
-			Workers: 2,
-			Window:  window,
-			Feed:    func(i int) { dispatched.Store(int64(i + 1)) },
-			Run: func(i int) int {
-				if i == 0 {
-					<-release // stall the head: nothing can be emitted
-				}
-				return i
-			},
-		}) {
-			_ = item
+	for _, group := range []int{1, 4} {
+		release := make(chan struct{})
+		var dispatched atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for item := range StreamPool(context.Background(), PoolConfig[int]{
+				Workers: 2,
+				Window:  window,
+				Feed: func(i int) (func() int, int) {
+					if i == 100 {
+						return nil, 0
+					}
+					dispatched.Store(int64(i + 1))
+					weight := 0
+					if i%group == 0 {
+						weight = 1
+					}
+					return func() int {
+						if i == 0 {
+							<-release // stall the head: nothing can be emitted
+						}
+						return i
+					}, weight
+				},
+			}) {
+				_ = item
+			}
+		}()
+		// With index 0 stalled the cursor stays at 0, so at most bound
+		// jobs may ever be fed. Wait for the dispatcher to go as far as
+		// it can.
+		bound := int64((window-1)*group + 1)
+		for dispatched.Load() < bound {
+			runtime.Gosched()
 		}
-	}()
-	// With index 0 stalled the cursor stays at 0, so at most window jobs
-	// may ever be fed. Wait for the dispatcher to go as far as it can.
-	for dispatched.Load() < window {
-		runtime.Gosched()
-	}
-	if d := dispatched.Load(); d > window {
-		t.Fatalf("dispatcher ran %d jobs ahead of a stalled cursor (window %d)", d, window)
-	}
-	close(release)
-	<-done
-	if d := dispatched.Load(); d != 100 {
-		t.Fatalf("dispatched %d of 100 jobs", d)
+		if d := dispatched.Load(); d > bound {
+			t.Fatalf("group %d: dispatcher ran %d jobs ahead of a stalled cursor (bound %d)", group, d, bound)
+		}
+		close(release)
+		<-done
+		if d := dispatched.Load(); d != 100 {
+			t.Fatalf("group %d: dispatched %d of 100 jobs", group, d)
+		}
 	}
 }
 
 // TestStreamPoolFeedHappensBeforeRun checks the lazy-input contract:
-// Feed(i) runs in index order and its effects are visible to Run(i), with
-// slot reuse only after the prior occupant was emitted.
+// Feed(i) runs in index order and its effects are visible to the run it
+// returns, with slot reuse only after the prior occupant was emitted.
 func TestStreamPoolFeedHappensBeforeRun(t *testing.T) {
 	const total, window = 200, 8
 	ring := make([]int, window)
 	feedOrder := make([]int, 0, total)
 	for item := range StreamPool(context.Background(), PoolConfig[int]{
-		Total:   total,
 		Workers: 4,
 		Window:  window,
-		Feed: func(i int) {
+		Feed: func(i int) (func() int, int) {
+			if i == total {
+				return nil, 0
+			}
 			feedOrder = append(feedOrder, i)
 			ring[i%window] = 3*i + 1
+			return func() int { return ring[i%window] }, 1
 		},
-		Run: func(i int) int { return ring[i%window] },
 	}) {
 		if item.R != 3*item.I+1 {
 			t.Fatalf("job %d read a reused slot: got %d", item.I, item.R)

@@ -56,27 +56,27 @@ type CampaignConfig struct {
 	// shape-aligned eligible scenarios advance up to 64 seeds per word;
 	// verdicts and reports are byte-identical either way.
 	DisableLockstep bool
-	// LaneWidth is the number of consecutive scenarios batched into one
-	// pool job, within which shape-aligned runs share lockstep engine
-	// instances. Values < 1 mean 1024 — wide enough that sampled shapes
-	// recur tens of times per block, which is what amortizes the engine's
-	// per-round circuit (64-scenario blocks of a diverse sampler average
-	// one to two lanes per shape and gain nothing). Narrower widths give
-	// finer work granularity for many-worker campaigns at the cost of lane
-	// packing. Ignored when DisableLockstep is set (every job is then a
-	// single scenario).
+	// LaneWidth is the lane-packing window: the number of consecutive
+	// scenarios planned together, within which shape-aligned runs share
+	// lockstep engine instances. Values < 1 mean 1024 — wide enough that
+	// sampled shapes recur tens of times per window, which is what
+	// amortizes the engine's per-round circuit (64-scenario windows of a
+	// diverse sampler average one to two lanes per shape and gain
+	// nothing). It does not set the work granularity: each lane group and
+	// each scalar scenario of a window is a pool job of its own.
 	LaneWidth int
 	// Telemetry, when non-nil, instruments the whole campaign stack: the
 	// worker pool, the oracle, the lockstep router and the simulators.
 	// Purely observational — verdict streams and every report stay
 	// byte-identical with or without it.
 	Telemetry *Telemetry
-	// Cache, when non-nil, intercepts execution per spec: looked-up
-	// verdicts replace engine runs, freshly computed clean verdicts are
-	// offered to Store. Streams and reports stay byte-identical with any
-	// correct cache attached, because per-spec verdicts are already
-	// invariant under engine blocking (lockstep vs scalar, any lane
-	// width) and a cache only substitutes a spec's own stored verdict.
+	// Cache, when non-nil, intercepts execution per spec: each window is
+	// looked up while it is planned and only the misses run; freshly
+	// computed clean verdicts are offered to Store. Streams and reports
+	// stay byte-identical with any correct cache attached, because
+	// per-spec verdicts are already invariant under engine blocking
+	// (lockstep vs scalar, any lane width) and a cache only substitutes a
+	// spec's own stored verdict.
 	Cache VerdictCache
 	// Trace, when non-nil, receives structured campaign lifecycle events
 	// (campaign-start, block-retired) as JSONL. Events are emitted from
@@ -89,11 +89,11 @@ type CampaignConfig struct {
 // VerdictCache is the campaign-side face of a verdict store (pefserve's
 // content-addressed cache implements it). Lookup returns the verdict of
 // a previously executed identical spec; Store offers a freshly computed
-// one. Both are called concurrently from pool workers and must be safe
-// for concurrent use. Implementations must return verdicts exactly as
-// stored — the campaign trusts them byte for byte. Verdicts carrying an
-// execution error (Err != "", which includes cancellations) are never
-// offered to Store.
+// one. Lookup runs on the pool's dispatching goroutine while Store runs
+// on its workers, so both must be safe for concurrent use.
+// Implementations must return verdicts exactly as stored — the campaign
+// trusts them byte for byte. Verdicts carrying an execution error
+// (Err != "", which includes cancellations) are never offered to Store.
 type VerdictCache interface {
 	Lookup(s Spec) (Verdict, bool)
 	Store(s Spec, v Verdict)
@@ -164,9 +164,6 @@ func (cfg CampaignConfig) resolved() (CampaignConfig, error) {
 	if cfg.LaneWidth == 0 {
 		cfg.LaneWidth = 1024
 	}
-	if cfg.DisableLockstep {
-		cfg.LaneWidth = 1
-	}
 	return cfg, nil
 }
 
@@ -234,8 +231,9 @@ func (st *specStream) next() Spec {
 	return st.gen.Sample(st.reg, st.cfg, st.src)
 }
 
-// campaignWindow returns the pool window — and hence the size of the spec
-// ring and the reorder buffer — for a worker count.
+// campaignWindow returns the pool window for a worker count: the number
+// of packing windows in flight beyond the emission cursor, and hence the
+// size of the spec ring.
 func campaignWindow(workers int) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -335,133 +333,123 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 	}
 }
 
-// streamBlocks shards the next-supplied spec sequence across the worker
-// pool in LaneWidth blocks and yields verdicts in canonical (input)
-// order — the shared engine core behind StreamCampaign's lazy sampler
-// streams and StreamSpecs' explicit lists.
+// streamBlocks runs the next-supplied spec sequence on the worker pool
+// and yields verdicts in canonical (input) order — the shared engine
+// core behind StreamCampaign's lazy sampler streams and StreamSpecs'
+// explicit lists.
+//
+// The dispatching goroutine draws the sequence in packing windows of
+// LaneWidth consecutive specs and plans each window: cache hits are
+// served, eligible specs are grouped by shape into lane units, and the
+// rest become scalar units. The units are the pool's jobs, so the lane
+// groups and scalar specs of one window run on every worker. A window
+// charges one pool permit, held by its first unit, which bounds the specs
+// in flight to about 8×workers windows however many units they split
+// into. A spec is yielded once its own unit and those of every spec
+// before it have retired.
 func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next func() Spec, total int, yield func(Verdict, error) bool) {
-	// Jobs are blocks of LaneWidth consecutive specs of the canonical
-	// stream (1 when lockstep is disabled): the block is the unit the
-	// lane engine packs seed lanes from, and flattening block verdicts
-	// in job order reproduces the canonical per-spec stream exactly.
 	width := rcfg.LaneWidth
-	jobs := (total + width - 1) / width
-	blockLen := func(i int) int {
-		if i == jobs-1 {
-			return total - i*width
-		}
-		return width
-	}
+	blockLen := func(b int) int { return min(width, total-b*width) }
 	window := campaignWindow(rcfg.Workers)
-	ring := make([][]Spec, window)
-	for i := range ring {
-		ring[i] = make([]Spec, 0, width)
+	// Planning starts while at most window-1 windows hold their permit,
+	// so the window planned into a slot window+1 windows back has had all
+	// its units emitted and its specs yielded: the slot is free.
+	ring := make([]blockPlan, window+1)
+	opts := RunOptions{Registry: reg, Telemetry: rcfg.Telemetry}
+	var lookup func(Spec) (Verdict, bool)
+	if rcfg.Cache != nil {
+		lookup = rcfg.Cache.Lookup
 	}
-	fed := 0
-	for item := range harness.StreamPool(ctx, harness.PoolConfig[[]Verdict]{
-		Total:   jobs,
+
+	// Dispatcher state: windows planned so far, and the next unit of the
+	// latest one.
+	planned, nextUnit := 0, 0
+	var cur *blockPlan
+	feed := func(i int) (func() int, int) {
+		weight := 0
+		if cur == nil || nextUnit == len(cur.units) {
+			if planned*width >= total {
+				return nil, 0
+			}
+			cur = &ring[planned%len(ring)]
+			cur.specs = cur.specs[:0]
+			for range blockLen(planned) {
+				cur.specs = append(cur.specs, next())
+			}
+			cur.plan(opts, rcfg.DisableLockstep, lookup)
+			cur.first = i
+			planned++
+			nextUnit, weight = 0, 1
+		}
+		p, u, b := cur, nextUnit, planned-1
+		nextUnit++
+		return func() int {
+			p.run(ctx, u, opts)
+			if rcfg.Cache != nil {
+				for _, j := range p.units[u].members {
+					if v := p.out[j]; v.Err == "" {
+						rcfg.Cache.Store(p.specs[j], v)
+					}
+				}
+			}
+			return b
+		}, weight
+	}
+
+	done := 0 // specs yielded
+	emit := func(v Verdict, err error) bool {
+		if !yield(v, err) {
+			return false
+		}
+		done++
+		if b := (done - 1) / width; done == b*width+blockLen(b) {
+			// Windows retire in index order on this single-threaded path,
+			// so the event sequence is deterministic for any worker count.
+			rcfg.Trace.Emit("block-retired", map[string]any{
+				"block": b,
+				"specs": blockLen(b),
+			})
+		}
+		return true
+	}
+	for item := range harness.StreamPool(ctx, harness.PoolConfig[int]{
 		Workers: rcfg.Workers,
 		Window:  window,
 		Metrics: rcfg.Telemetry.poolMetrics(),
-		// Feed materializes job i's spec block into its ring slot right
-		// before dispatch; the pool guarantees Feed(i) happens-before
-		// Run(i) and that the slot is not reused until job i was yielded.
-		Feed: func(i int) {
-			block := ring[i%window][:0]
-			for j := 0; j < blockLen(i); j++ {
-				block = append(block, next())
-			}
-			ring[i%window] = block
-			fed = i + 1
-		},
-		Run: func(i int) []Verdict {
-			block := ring[i%window]
-			opts := RunOptions{Registry: reg, Telemetry: rcfg.Telemetry}
-			if rcfg.Cache == nil {
-				return runSpecs(ctx, block, opts, rcfg.DisableLockstep)
-			}
-			// Cached path: serve hits from the store and run only the
-			// miss subset as its own block. Safe for byte-identity:
-			// per-spec verdicts are invariant under blocking, so the
-			// miss sub-block computes exactly the bytes the full block
-			// would have.
-			vs := make([]Verdict, len(block))
-			var misses []Spec
-			var missAt []int
-			for j, s := range block {
-				if v, ok := rcfg.Cache.Lookup(s); ok {
-					vs[j] = v
-					continue
-				}
-				misses = append(misses, s)
-				missAt = append(missAt, j)
-			}
-			if len(misses) > 0 {
-				for j, v := range runSpecs(ctx, misses, opts, rcfg.DisableLockstep) {
-					if v.Err == "" {
-						rcfg.Cache.Store(misses[j], v)
-					}
-					vs[missAt[j]] = v
-				}
-			}
-			return vs
-		},
-		// Placeholder runs after the dispatcher has exited (the pool
-		// orders it after close(out)), so continuing the sampler for
-		// never-fed indices is race-free.
-		Placeholder: func(i int) []Verdict {
-			var block []Spec
-			if i < fed {
-				block = ring[i%window]
-			} else {
-				for j := 0; j < blockLen(i); j++ {
-					block = append(block, next())
-				}
-			}
-			vs := make([]Verdict, len(block))
-			for j, s := range block {
-				vs[j] = Verdict{ID: s.ID(), Spec: s, Expect: s.Expect, Outcome: "error", CoverTime: -1}
-			}
-			return vs
-		},
-		Cancelled: func(_ int, vs []Verdict, err error) []Verdict {
-			for j := range vs {
-				vs[j].Err = fmt.Sprintf("scenario cancelled before running: %v", err)
-			}
-			return vs
-		},
+		Feed:    feed,
 	}) {
-		for _, v := range item.R {
-			if !yield(v, item.Err) {
+		// Units retire in index order, so item.I+1 units have retired,
+		// and the plan of window item.R is safe to read here.
+		for done < total && done/width <= item.R {
+			p := &ring[done/width%len(ring)]
+			j := done % width
+			if p.first+p.unit[j] > item.I {
+				break
+			}
+			if !emit(p.out[j], nil) {
 				return
 			}
 		}
-		// Blocks retire in index order on this single-threaded path, so
-		// the event sequence is deterministic for any worker count.
-		rcfg.Trace.Emit("block-retired", map[string]any{
-			"block": item.I,
-			"specs": len(item.R),
-		})
 	}
-}
 
-// runSpecs executes one spec block through the configured engine path:
-// the lockstep router by default, the scalar oracle under
-// DisableLockstep. Verdict bytes are identical either way.
-func runSpecs(ctx context.Context, block []Spec, opts RunOptions, scalar bool) []Verdict {
-	if scalar {
-		vs := make([]Verdict, len(block))
-		for j, s := range block {
-			v, rerr := RunWith(ctx, s, opts)
-			if rerr != nil && v.Err == "" {
-				v.Err = rerr.Error()
-				v.OK = false
-			}
-			vs[j] = v
+	// Cancelled: every spec from the first one that did not run yields
+	// its identity with the context error, so the stream still carries
+	// exactly one verdict per spec and the executed specs form a prefix.
+	// The dispatcher has exited, so the sampler may continue here.
+	err := ctx.Err()
+	for done < total {
+		var s Spec
+		if b := done / width; b < planned {
+			s = ring[b%len(ring)].specs[done%width]
+		} else {
+			s = next()
 		}
-		return vs
+		v := Verdict{ID: s.ID(), Spec: s, Expect: s.Expect, Outcome: "error", CoverTime: -1,
+			Err: fmt.Sprintf("scenario cancelled before running: %v", err)}
+		if !emit(v, err) {
+			return
+		}
 	}
-	return RunBlock(ctx, block, opts)
 }
 
 // Campaign is a completed sweep: the verdicts this process executed in

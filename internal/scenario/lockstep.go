@@ -81,72 +81,133 @@ type blockKey struct {
 // everything else through the scalar oracle. Verdicts come back in spec
 // order and are byte-identical to per-spec RunWith calls, with run errors
 // folded into Verdict.Err exactly like the campaign worker folds them.
+// It plans the block and runs its units one after another on the calling
+// goroutine; campaigns spread the same units across the worker pool.
 func RunBlock(ctx context.Context, specs []Spec, o RunOptions) []Verdict {
-	out := make([]Verdict, len(specs))
-	ev := laneEvalPool.Get().(*laneEval)
-	defer laneEvalPool.Put(ev)
+	p := blockPlan{specs: specs}
+	p.plan(o, false, nil)
+	for u := range p.units {
+		p.run(ctx, u, o)
+	}
+	return p.out
+}
 
-	// Group eligible specs by shape; everything else runs scalar.
+// blockPlan is a block of specs resolved into run units: every spec
+// either has its final verdict already (a cache hit, or a spec that
+// fails to resolve) or is a member of exactly one unit. A unit is one
+// shape-aligned lane group of up to 64 specs or one scalar spec, and
+// units are ordered by their first member, so the units covering a
+// prefix of the block are a prefix of the units.
+type blockPlan struct {
+	specs []Spec
+	// out receives every spec's verdict: final ones at planning time,
+	// the others when their unit runs.
+	out []Verdict
+	// graphs holds the resolved evolving graph of every lane member.
+	graphs []dyngraph.EvolvingGraph
+	// unit is the index of the unit that writes out[i]; 0 for verdicts
+	// final at planning time.
+	unit  []int
+	units []runUnit
+	// first is the pool job index of units[0] when the block streams
+	// through the worker pool.
+	first int
+}
+
+// runUnit is one engine job of a planned block.
+type runUnit struct {
+	// members are block positions in ascending order: up to 64 lanes of
+	// one shape, or a single scalar spec. A block without a runnable
+	// spec plans one empty unit, so every block has a unit to retire.
+	members []int
+	// alg is the lane algorithm of a lane unit, nil for a scalar one.
+	alg robot.LaneAlgorithm
+}
+
+// plan resolves p.specs into run units. lookup, when non-nil, supplies
+// cached verdicts, which then need no unit. Under scalar every other
+// spec is a unit of its own; otherwise eligible specs are grouped by
+// shape, each group split into consecutive 64-lane units, and the rest
+// run scalar.
+func (p *blockPlan) plan(o RunOptions, scalar bool, lookup func(Spec) (Verdict, bool)) {
+	n := len(p.specs)
+	p.out = resize(p.out, n)
+	p.graphs = resize(p.graphs, n)
+	p.unit = resize(p.unit, n)
+	p.units = p.units[:0]
+	lanes := map[blockKey]int{} // the unit of each shape still taking members
 	tel := o.Telemetry
-	groups := map[blockKey][]int{}
-	algs := map[blockKey]robot.LaneAlgorithm{}
-	graphs := make([]dyngraph.EvolvingGraph, len(specs))
-	for i, s := range specs {
-		v, res, err := prepareRun(s, o)
-		if err != nil {
-			// The error verdict is final; RunWith would add nothing.
-			out[i] = v
-			continue
+	for i, s := range p.specs {
+		p.graphs[i], p.unit[i] = nil, 0
+		if lookup != nil {
+			if v, ok := lookup(s); ok {
+				p.out[i] = v
+				continue
+			}
 		}
-		la, g, ok, reason := lockstepEligible(s, o, res)
-		if !ok {
+		if !scalar {
+			v, res, err := prepareRun(s, o)
+			if err != nil {
+				// The error verdict is final; RunWith would add nothing.
+				p.out[i] = v
+				continue
+			}
+			la, g, ok, reason := lockstepEligible(s, o, res)
+			if ok {
+				key := blockKey{s.Ring, s.Robots, s.Algorithm}
+				u, open := lanes[key]
+				if !open || len(p.units[u].members) == laneWordSize {
+					u = len(p.units)
+					p.units = append(p.units, runUnit{alg: la})
+					lanes[key] = u
+				}
+				p.units[u].members = append(p.units[u].members, i)
+				p.graphs[i], p.unit[i] = g, u
+				continue
+			}
 			if tel != nil {
 				tel.scalarSpecs.Inc()
 				tel.skipReason(reason).Inc()
 			}
-			out[i] = runScalar(ctx, specs[i], o)
-			continue
 		}
-		key := blockKey{s.Ring, s.Robots, s.Algorithm}
-		graphs[i] = g
-		groups[key] = append(groups[key], i)
-		if _, seen := algs[key]; !seen {
-			algs[key] = la
-		}
+		p.unit[i] = len(p.units)
+		p.units = append(p.units, runUnit{members: []int{i}})
 	}
+	if len(p.units) == 0 {
+		p.units = append(p.units, runUnit{})
+	}
+}
 
-	// Iterate groups in first-member order so the engine's work schedule is
-	// deterministic (verdict order is positional either way).
-	keys := make([]blockKey, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && groups[keys[j]][0] < groups[keys[j-1]][0]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// run executes unit u, writing its members' verdicts into p.out.
+func (p *blockPlan) run(ctx context.Context, u int, o RunOptions) {
+	un := p.units[u]
+	if un.alg == nil {
+		for _, i := range un.members {
+			p.out[i] = runScalar(ctx, p.specs[i], o)
 		}
+		return
 	}
-	for _, key := range keys {
-		members := groups[key]
-		for len(members) > 0 {
-			lanes := len(members)
-			if lanes > laneWordSize {
-				lanes = laneWordSize
-			}
-			if tel != nil {
-				tel.lockstepGroups.Inc()
-				tel.lockstepSpecs.Add(int64(lanes))
-				tel.laneOccupancy.Observe(lanes)
-				start := time.Now()
-				runLockstepGroup(ctx, specs, graphs, members[:lanes], algs[key], o, ev, out)
-				tel.lockstepMillis.Add(time.Since(start).Milliseconds())
-			} else {
-				runLockstepGroup(ctx, specs, graphs, members[:lanes], algs[key], o, ev, out)
-			}
-			members = members[lanes:]
-		}
+	ev := laneEvalPool.Get().(*laneEval)
+	defer laneEvalPool.Put(ev)
+	tel := o.Telemetry
+	if tel == nil {
+		runLockstepGroup(ctx, p.specs, p.graphs, un.members, un.alg, o, ev, p.out)
+		return
 	}
-	return out
+	tel.lockstepGroups.Inc()
+	tel.lockstepSpecs.Add(int64(len(un.members)))
+	tel.laneOccupancy.Observe(len(un.members))
+	start := time.Now()
+	runLockstepGroup(ctx, p.specs, p.graphs, un.members, un.alg, o, ev, p.out)
+	tel.lockstepMillis.Add(time.Since(start).Milliseconds())
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // runScalar is RunWith with the campaign worker's error folding.

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"iter"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,34 +74,75 @@ func TestFamilyWeightsValidation(t *testing.T) {
 	}
 }
 
-// StreamSpecs must yield one verdict per input spec, in input order,
-// identical to running each spec alone — for any worker count.
+// StreamSpecs and StreamCampaign must yield one verdict per spec, in
+// input order, equal field for field to both RunBlock over the whole
+// list and the scalar oracle — for any worker count, lane-packing window
+// and cache state. The windows split into lane groups and scalar specs
+// that run as separate pool jobs, so this is the differential check of
+// unit dispatch and reordering; the warm cache serves every third spec,
+// so hits and runs interleave inside a window.
 func TestStreamSpecsOrderAndIdentity(t *testing.T) {
-	specs, err := Generate("uniform", GenConfig{}, 9, 30)
+	ctx := context.Background()
+	gcfg := GenConfig{MaxRing: 8}
+	specs, err := Generate("uniform", gcfg, 9, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make([]Verdict, len(specs))
 	for i, s := range specs {
-		want[i] = Run(s)
+		want[i] = runScalar(ctx, s, RunOptions{})
 	}
-	for _, workers := range []int{1, 4} {
-		i := 0
-		for v, serr := range StreamSpecs(context.Background(), CampaignConfig{Workers: workers}, specs) {
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			if i >= len(specs) {
-				t.Fatal("more verdicts than specs")
-			}
-			if v.ID != want[i].ID || v.Outcome != want[i].Outcome || v.OK != want[i].OK ||
-				v.CoverTime != want[i].CoverTime || v.MaxGap != want[i].MaxGap {
-				t.Fatalf("workers=%d verdict %d diverges: %+v vs %+v", workers, i, v, want[i])
-			}
-			i++
+	for i, v := range RunBlock(ctx, specs, RunOptions{}) {
+		if !reflect.DeepEqual(v, want[i]) {
+			t.Fatalf("RunBlock verdict %d diverges from the scalar oracle:\n%+v\n%+v", i, v, want[i])
 		}
-		if i != len(specs) {
-			t.Fatalf("workers=%d yielded %d of %d verdicts", workers, i, len(specs))
+	}
+	streams := map[string]func(CampaignConfig) iter.Seq2[Verdict, error]{
+		"StreamSpecs": func(cfg CampaignConfig) iter.Seq2[Verdict, error] {
+			return StreamSpecs(ctx, cfg, specs)
+		},
+		"StreamCampaign": func(cfg CampaignConfig) iter.Seq2[Verdict, error] {
+			cfg.Generator, cfg.Gen, cfg.Count, cfg.Seeds = "uniform", gcfg, len(specs), []uint64{9}
+			return StreamCampaign(ctx, cfg)
+		},
+	}
+	for name, stream := range streams {
+		for _, workers := range []int{1, 2, 8} {
+			for _, width := range []int{64, 1024} {
+				for _, cached := range []bool{false, true} {
+					cfg := CampaignConfig{Workers: workers, LaneWidth: width}
+					var mc *mapCache
+					if cached {
+						mc = newMapCache()
+						for i := 0; i < len(specs); i += 3 {
+							mc.Store(specs[i], want[i])
+						}
+						cfg.Cache = mc
+					}
+					i := 0
+					for v, serr := range stream(cfg) {
+						if serr != nil {
+							t.Fatal(serr)
+						}
+						if i >= len(specs) {
+							t.Fatalf("%s: more verdicts than specs", name)
+						}
+						if !reflect.DeepEqual(v, want[i]) {
+							t.Fatalf("%s workers=%d width=%d cached=%v verdict %d diverges:\n%+v\n%+v",
+								name, workers, width, cached, i, v, want[i])
+						}
+						i++
+					}
+					if i != len(specs) {
+						t.Fatalf("%s workers=%d width=%d cached=%v yielded %d of %d verdicts",
+							name, workers, width, cached, i, len(specs))
+					}
+					if mc != nil && (mc.hits == 0 || mc.storedWithErr != 0) {
+						t.Fatalf("%s workers=%d width=%d: %d cache hits, %d error verdicts stored",
+							name, workers, width, mc.hits, mc.storedWithErr)
+					}
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -267,6 +269,117 @@ func TestStreamCampaignCancellationYieldsIdentifiedTail(t *testing.T) {
 	tail := all[cancelledAt]
 	if tail.Err == "" || tail.Outcome != "error" {
 		t.Fatalf("cancelled verdict not marked: %+v", tail)
+	}
+}
+
+// TestStreamSpecsCancellationMidWindow cancels while one packing
+// window's units are still queued: the stream must still yield exactly
+// one verdict per spec, in order. The executed specs form a prefix with
+// their real verdicts (a lane group interrupted mid-run reports
+// "cancelled"); every later spec carries its identity and ctx.Err().
+func TestStreamSpecsCancellationMidWindow(t *testing.T) {
+	specs, err := Generate("uniform", GenConfig{MaxRing: 8}, 9, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunBlock(context.Background(), specs, RunOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	i, cancelledAt := 0, -1
+	for v, serr := range StreamSpecs(ctx, CampaignConfig{Workers: 1, LaneWidth: 1024}, specs) {
+		cancel() // after the first verdict: the window's other units are queued
+		if i >= len(specs) {
+			t.Fatal("more verdicts than specs")
+		}
+		if v.ID != specs[i].ID() {
+			t.Fatalf("verdict %d is %s, want %s", i, v.ID, specs[i].ID())
+		}
+		switch {
+		case serr != nil:
+			if serr != context.Canceled {
+				t.Fatalf("verdict %d: stream error %v, want context.Canceled", i, serr)
+			}
+			if cancelledAt == -1 {
+				cancelledAt = i
+			}
+			if v.Outcome != "error" || !strings.Contains(v.Err, "cancelled before running") {
+				t.Fatalf("unrun verdict %d not marked: %+v", i, v)
+			}
+		case cancelledAt != -1:
+			t.Fatalf("verdict %d ran after unrun verdict %d: the executed specs are not a prefix", i, cancelledAt)
+		case v.Outcome != "cancelled" && !reflect.DeepEqual(v, want[i]):
+			t.Fatalf("executed verdict %d diverges from RunBlock:\n%+v\n%+v", i, v, want[i])
+		}
+		i++
+	}
+	if i != len(specs) {
+		t.Fatalf("yielded %d of %d verdicts", i, len(specs))
+	}
+	if cancelledAt == -1 {
+		t.Skip("stream finished before cancellation propagated") // tiny machines
+	}
+}
+
+// stallCache is a mapCache whose Store blocks on one spec until release
+// closes: the unit running that spec cannot retire, so nothing after it
+// can be yielded.
+type stallCache struct {
+	*mapCache
+	stallOn string
+	release chan struct{}
+}
+
+func (c stallCache) Store(s Spec, v Verdict) {
+	if s.ID() == c.stallOn {
+		<-c.release
+	}
+	c.mapCache.Store(s, v)
+}
+
+// TestStreamSpecsWindowBoundsPlanning pins the memory bound of unit
+// dispatch: while the head unit stalls and the other worker keeps
+// running later units, the dispatcher plans at most 8×workers packing
+// windows, however many units they split into. The cache sees every
+// planned spec, since windows are looked up while they are planned.
+func TestStreamSpecsWindowBoundsPlanning(t *testing.T) {
+	const workers, width = 2, 2
+	specs, err := Generate("uniform", GenConfig{MaxRing: 8}, 9, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := stallCache{mapCache: newMapCache(), stallOn: specs[0].ID(), release: make(chan struct{})}
+	looked := func() int {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		return sc.lookups
+	}
+	yielded := make(chan int)
+	go func() {
+		n := 0
+		for _, serr := range StreamSpecs(context.Background(), CampaignConfig{Workers: workers, LaneWidth: width, Cache: sc}, specs) {
+			if serr != nil {
+				t.Error(serr)
+			}
+			n++
+		}
+		yielded <- n
+	}()
+	// The head unit holds its window's permit, so planning stops once
+	// every permit is taken. Wait for that, then give an unbounded
+	// dispatcher the chance to run further.
+	bound := campaignWindow(workers) * width
+	for looked() < bound {
+		runtime.Gosched()
+	}
+	for range 1000 {
+		runtime.Gosched()
+	}
+	if got := looked(); got > bound {
+		t.Errorf("planned %d specs ahead of a stalled head unit, want at most %d", got, bound)
+	}
+	close(sc.release)
+	if n := <-yielded; n != len(specs) {
+		t.Fatalf("yielded %d of %d verdicts", n, len(specs))
 	}
 }
 

@@ -86,8 +86,9 @@ type Config struct {
 	// (Families filter or FamilyWeights), exactly like the "registered"
 	// generator.
 	Gen scenario.GenConfig
-	// Workers, LaneWidth and DisableLockstep configure the engine like
-	// CampaignConfig; none of them affects output bytes.
+	// Workers (the pool size), LaneWidth (the lane-packing window) and
+	// DisableLockstep configure the engine like CampaignConfig; none of
+	// them affects output bytes.
 	Workers         int
 	LaneWidth       int
 	DisableLockstep bool
