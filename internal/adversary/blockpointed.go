@@ -32,23 +32,28 @@ func NewBlockPointed(n, budget int) *BlockPointed {
 // Ring implements fsync.Dynamics.
 func (a *BlockPointed) Ring() ring.Ring { return a.r }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *BlockPointed) EdgesAt(_ int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.FullEdgeSet(a.r.Edges())
+// EdgesAtInto implements fsync.Dynamics.
+func (a *BlockPointed) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Fill()
 	for i, pos := range snap.Positions {
 		e := a.r.EdgeTowards(pos, snap.GlobalDirs[i])
 		if a.run[e] < a.budget {
-			edges.Remove(e)
+			dst.Remove(e)
 		}
 	}
-	for e := 0; e < a.r.Edges(); e++ {
+	advance(a.run, *dst)
+}
+
+// advance updates the per-edge consecutive-absence runs after a round on
+// edges.
+func advance(run []int, edges ring.EdgeSet) {
+	for e := range run {
 		if edges.Contains(e) {
-			a.run[e] = 0
+			run[e] = 0
 		} else {
-			a.run[e]++
+			run[e]++
 		}
 	}
-	return edges
 }
 
 // BlockBothSides removes, each round, both adjacent edges of every robot's
@@ -73,23 +78,16 @@ func NewBlockBothSides(n, budget int) *BlockBothSides {
 // Ring implements fsync.Dynamics.
 func (a *BlockBothSides) Ring() ring.Ring { return a.r }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *BlockBothSides) EdgesAt(_ int, snap fsync.Snapshot) ring.EdgeSet {
-	edges := ring.FullEdgeSet(a.r.Edges())
+// EdgesAtInto implements fsync.Dynamics.
+func (a *BlockBothSides) EdgesAtInto(_ int, snap fsync.Snapshot, dst *ring.EdgeSet) {
+	dst.Fill()
 	for _, pos := range snap.Positions {
-		for _, d := range []ring.Direction{ring.CW, ring.CCW} {
+		for _, d := range [2]ring.Direction{ring.CW, ring.CCW} {
 			e := a.r.EdgeTowards(pos, d)
 			if a.run[e] < a.budget {
-				edges.Remove(e)
+				dst.Remove(e)
 			}
 		}
 	}
-	for e := 0; e < a.r.Edges(); e++ {
-		if edges.Contains(e) {
-			a.run[e] = 0
-		} else {
-			a.run[e]++
-		}
-	}
-	return edges
+	advance(a.run, *dst)
 }

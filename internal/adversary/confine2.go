@@ -68,8 +68,9 @@ func (a *TwoRobotConfinement) watchedTarget() (robotIdx, target int) {
 	}
 }
 
-// blocked returns the edges removed during the current phase.
-func (a *TwoRobotConfinement) blocked() []int {
+// blocked returns the edges removed during the current phase: the first
+// count entries of the array.
+func (a *TwoRobotConfinement) blocked() (edges [3]int, count int) {
 	eul := a.r.EdgeTowards(a.u, ring.CCW)
 	eur := a.r.EdgeTowards(a.u, ring.CW)
 	evl := eur
@@ -77,32 +78,36 @@ func (a *TwoRobotConfinement) blocked() []int {
 	ewr := a.r.EdgeTowards(a.w, ring.CW)
 	switch a.phase {
 	case 0:
-		return []int{eul, evl}
+		return [3]int{eul, evl}, 2
 	case 1:
-		return []int{eul, ewl, ewr}
+		return [3]int{eul, ewl, ewr}, 3
 	case 2:
-		return []int{ewl, ewr}
+		return [3]int{ewl, ewr}, 2
 	default:
-		return []int{eul, eur, ewr}
+		return [3]int{eul, eur, ewr}, 3
 	}
 }
 
-// EdgesAt implements fsync.Dynamics.
-func (a *TwoRobotConfinement) EdgesAt(t int, snap fsync.Snapshot) ring.EdgeSet {
+// EdgesAtInto implements fsync.Dynamics.
+func (a *TwoRobotConfinement) EdgesAtInto(t int, snap fsync.Snapshot, dst *ring.EdgeSet) {
 	watched, target := a.watchedTarget()
 	if snap.Positions[watched] == target {
 		a.phase = (a.phase + 1) % 4
 		a.phaseStart = t
 	}
 	a.guard(snap, t)
-	return ring.FullEdgeSet(a.r.Edges()).Without(a.blocked()...)
+	blocked, count := a.blocked()
+	dst.Fill()
+	for _, e := range blocked[:count] {
+		dst.Remove(e)
+	}
 }
 
 // guard panics if either robot ever leaves {u, v, w}: by construction that
 // is impossible, so an escape means a bug in the schedule, which must not
 // be reported as an algorithm win.
 func (a *TwoRobotConfinement) guard(snap fsync.Snapshot, t int) {
-	for _, idx := range []int{a.r1, a.r2} {
+	for _, idx := range [2]int{a.r1, a.r2} {
 		p := snap.Positions[idx]
 		if p != a.u && p != a.v && p != a.w {
 			panic(fmt.Sprintf("adversary: robot %d escaped to node %d at t=%d (phase %d)", idx, p, t, a.phase))

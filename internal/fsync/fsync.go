@@ -10,14 +10,16 @@
 // records everything needed by the checkers: positions, global directions,
 // robot states, tower events, and the realized evolving graph.
 //
-// The round engine is allocation-free in steady state: Before/After
-// snapshots are double-buffered per simulator, presence sets are written
-// in place (InPlaceDynamics / dyngraph.EdgesInto), occupancy uses a
-// count slice instead of a map, and simulators themselves are pooled via
-// Acquire/Release so million-scenario campaigns reuse backing slices
-// across jobs. The price of the reuse is a retention contract: a
-// RoundEvent's slices (and its Edges set) are valid only until the next
-// Step on the same simulator — observers that keep data call Clone.
+// Every Dynamics — oblivious or adaptive — writes E_t into the
+// simulator's one presence-set buffer (Dynamics.EdgesAtInto), so each
+// round takes a single edge path and the round engine is allocation-free
+// in steady state for both kinds: Before/After snapshots are
+// double-buffered per simulator, occupancy uses a count slice instead of
+// a map, and simulators themselves are pooled via Acquire/Release so
+// million-scenario campaigns reuse backing slices across jobs. The price
+// of the reuse is a retention contract: a RoundEvent's slices (and its
+// Edges set) are valid only until the next Step on the same simulator —
+// observers that keep data call Clone.
 package fsync
 
 import (
@@ -154,18 +156,10 @@ type Tower struct {
 type Dynamics interface {
 	// Ring returns the underlying ring.
 	Ring() ring.Ring
-	// EdgesAt returns E_t given the configuration at the start of round t.
-	// The returned set's capacity must equal the ring's edge count.
-	EdgesAt(t int, snap Snapshot) ring.EdgeSet
-}
-
-// InPlaceDynamics is an optional extension of Dynamics: implementations
-// write E_t into a caller-provided set, so the steady-state round engine
-// allocates no presence set. The engine falls back to EdgesAt otherwise.
-type InPlaceDynamics interface {
-	Dynamics
 	// EdgesAtInto overwrites dst with E_t given the configuration at the
-	// start of round t. dst always arrives sized to the ring's edge count.
+	// start of round t. dst arrives sized to the ring's edge count but
+	// holds the previous round's set, so implementations must write every
+	// bit (Fill or Clear first) rather than assume a fresh buffer.
 	EdgesAtInto(t int, snap Snapshot, dst *ring.EdgeSet)
 }
 
@@ -177,12 +171,7 @@ type Oblivious struct {
 // Ring implements Dynamics.
 func (o Oblivious) Ring() ring.Ring { return o.G.Ring() }
 
-// EdgesAt implements Dynamics.
-func (o Oblivious) EdgesAt(t int, _ Snapshot) ring.EdgeSet {
-	return dyngraph.EdgesAt(o.G, t)
-}
-
-// EdgesAtInto implements InPlaceDynamics.
+// EdgesAtInto implements Dynamics.
 func (o Oblivious) EdgesAtInto(t int, _ Snapshot, dst *ring.EdgeSet) {
 	dyngraph.EdgesInto(o.G, t, dst)
 }
@@ -280,7 +269,6 @@ type simRobot struct {
 type Simulator struct {
 	r         ring.Ring
 	dyn       Dynamics
-	dynInto   InPlaceDynamics // non-nil when dyn supports in-place edges
 	robots    []simRobot
 	t         int
 	observers []Observer
@@ -290,7 +278,7 @@ type Simulator struct {
 	// Steady-state scratch: reused by every Step, sized once per Reset.
 	before  Snapshot
 	after   Snapshot
-	edges   ring.EdgeSet // presence-set buffer for InPlaceDynamics
+	edges   ring.EdgeSet // presence-set buffer every Dynamics writes into
 	views   []robot.View
 	moved   []bool
 	flipped []bool
@@ -329,7 +317,6 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.r = r
 	s.dyn = cfg.Dynamics
-	s.dynInto, _ = cfg.Dynamics.(InPlaceDynamics)
 	s.metrics = cfg.Metrics
 	s.t = 0
 	s.robots = resize(s.robots, k)
@@ -417,7 +404,6 @@ func (s *Simulator) Release() {
 	}
 	s.flushMetrics()
 	s.dyn = nil
-	s.dynInto = nil
 	s.recorded = nil
 	clear(s.observers) // drop observer references, not just the length
 	s.observers = s.observers[:0]
@@ -495,13 +481,8 @@ func (s *Simulator) RecordedGraph() *dyngraph.Recorded { return s.recorded }
 // slices are valid until the next Step on this simulator.
 func (s *Simulator) Step() RoundEvent {
 	s.fillSnapshot(&s.before)
+	s.dyn.EdgesAtInto(s.t, s.before, &s.edges)
 	edges := s.edges
-	if s.dynInto != nil {
-		s.dynInto.EdgesAtInto(s.t, s.before, &s.edges)
-		edges = s.edges
-	} else {
-		edges = s.dyn.EdgesAt(s.t, s.before)
-	}
 	if edges.Size() != s.r.Edges() {
 		panic(fmt.Sprintf("fsync: dynamics produced edge set of size %d for ring with %d edges", edges.Size(), s.r.Edges()))
 	}

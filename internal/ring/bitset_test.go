@@ -187,3 +187,28 @@ func TestEdgeSetClearAndCopyFrom(t *testing.T) {
 		t.Fatalf("CopyFrom into zero set = %v", small)
 	}
 }
+
+// TestFill checks Fill against an Add-built reference at sizes around the
+// word boundary: every index present, and the last word's bits beyond n
+// clear (Count and Equal compare whole words), from a dirty start.
+func TestFill(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		want := NewEdgeSet(n)
+		for e := 0; e < n; e++ {
+			want.Add(e)
+		}
+		s := EdgeSetOf(n, 0, n-1)
+		s.Fill()
+		if s.Count() != n || !s.IsFull() {
+			t.Errorf("n=%d: Fill gave %d of %d edges", n, s.Count(), n)
+		}
+		if tail := n % wordBits; tail != 0 {
+			if stray := s.words[len(s.words)-1] >> uint(tail); stray != 0 {
+				t.Errorf("n=%d: tail bits %#x set beyond n", n, stray)
+			}
+		}
+		if !s.Equal(want) || !s.Equal(FullEdgeSet(n)) {
+			t.Errorf("n=%d: Fill = %v, want every edge", n, s)
+		}
+	}
+}

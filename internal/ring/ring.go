@@ -88,18 +88,31 @@ func (r Ring) ValidNode(v int) bool { return v >= 0 && v < r.n }
 // ValidEdge reports whether e is an edge index of the ring.
 func (r Ring) ValidEdge(e int) bool { return e >= 0 && e < r.n }
 
-// Next returns the node adjacent to v in global direction d.
+// Next returns the node adjacent to node v in global direction d. A
+// single step leaves [0, n) only at the two ends, so a wrap branch stands
+// in for the modulo of Node: v must be a node index.
 func (r Ring) Next(v int, d Direction) int {
-	return r.Node(v + int(d))
+	v += int(d)
+	if v < 0 {
+		return v + r.n
+	}
+	if v >= r.n {
+		return v - r.n
+	}
+	return v
 }
 
 // EdgeTowards returns the edge index crossed when leaving node v in global
-// direction d.
+// direction d. Like Next, it wraps without a modulo: v must be a node
+// index.
 func (r Ring) EdgeTowards(v int, d Direction) int {
 	if d == CW {
 		return v
 	}
-	return r.Node(v - 1)
+	if v == 0 {
+		return r.n - 1
+	}
+	return v - 1
 }
 
 // EdgeEndpoints returns the two endpoints of edge e, in (low, high mod n)

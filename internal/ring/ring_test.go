@@ -60,6 +60,28 @@ func TestNextAndEdgeTowards(t *testing.T) {
 	}
 }
 
+// TestNextAndEdgeTowardsWrap pins the modulo-free step at both ends of
+// the index range, in both directions, against Node's normalization.
+func TestNextAndEdgeTowardsWrap(t *testing.T) {
+	for _, n := range []int{3, 64} {
+		r := New(n)
+		for _, v := range []int{0, n - 1} {
+			for _, d := range []Direction{CW, CCW} {
+				if got, want := r.Next(v, d), r.Node(v+int(d)); got != want {
+					t.Errorf("n=%d: Next(%d, %v) = %d, want %d", n, v, d, got, want)
+				}
+				want := v
+				if d == CCW {
+					want = r.Node(v - 1)
+				}
+				if got := r.EdgeTowards(v, d); got != want {
+					t.Errorf("n=%d: EdgeTowards(%d, %v) = %d, want %d", n, v, d, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestEdgeEndpointsAndBetween(t *testing.T) {
 	r := New(4)
 	a, b := r.EdgeEndpoints(3)

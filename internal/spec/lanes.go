@@ -161,18 +161,3 @@ func (lv *LaneVisits) Report(l, instants int) ExplorationReport {
 	}
 	return rep
 }
-
-// Distinct returns lane l's count of distinct nodes ever visited — the
-// quantity the confinement theorems bound, identical to
-// ConfinementTracker.Distinct over the same stream (both count the
-// ever-visited set).
-func (lv *LaneVisits) Distinct(l int) int {
-	bit := uint64(1) << uint(l)
-	d := 0
-	for v := 0; v < lv.n; v++ {
-		if lv.ever[v]&bit != 0 {
-			d++
-		}
-	}
-	return d
-}

@@ -205,22 +205,15 @@ func (r ExplorationReport) String() string {
 // over time — the quantity the impossibility theorems bound (two robots
 // never leave {u, v, w}; one robot never leaves {u, v}).
 type ConfinementTracker struct {
-	visited map[int]bool
-	series  []int // distinct-visited count after each instant
-	primed  bool
+	visited  []bool // node-indexed, grown on demand to the largest node seen
+	distinct int    // number of true entries in visited
+	series   []int  // distinct-visited count after each instant
+	primed   bool
 }
 
 // NewConfinementTracker creates an empty tracker.
 func NewConfinementTracker() *ConfinementTracker {
-	return &ConfinementTracker{visited: make(map[int]bool)}
-}
-
-// Reset re-arms the tracker for a fresh run, reusing the visited map and
-// series storage.
-func (ct *ConfinementTracker) Reset() {
-	clear(ct.visited)
-	ct.series = ct.series[:0]
-	ct.primed = false
+	return &ConfinementTracker{}
 }
 
 // ObserveRound implements fsync.Observer.
@@ -234,23 +227,26 @@ func (ct *ConfinementTracker) ObserveRound(ev fsync.RoundEvent) {
 
 func (ct *ConfinementTracker) record(snap fsync.Snapshot) {
 	for _, node := range snap.Positions {
-		ct.visited[node] = true
+		if node >= len(ct.visited) {
+			ct.visited = append(ct.visited, make([]bool, node+1-len(ct.visited))...)
+		}
+		if !ct.visited[node] {
+			ct.visited[node] = true
+			ct.distinct++
+		}
 	}
-	ct.series = append(ct.series, len(ct.visited))
+	ct.series = append(ct.series, ct.distinct)
 }
 
 // Distinct returns the number of distinct nodes ever visited.
-func (ct *ConfinementTracker) Distinct() int { return len(ct.visited) }
+func (ct *ConfinementTracker) Distinct() int { return ct.distinct }
 
 // VisitedNodes returns the visited nodes in increasing order.
 func (ct *ConfinementTracker) VisitedNodes() []int {
-	out := make([]int, 0, len(ct.visited))
-	for n := 0; n < 1<<31; n++ {
-		if len(out) == len(ct.visited) {
-			break
-		}
-		if ct.visited[n] {
-			out = append(out, n)
+	out := make([]int, 0, ct.distinct)
+	for node, seen := range ct.visited {
+		if seen {
+			out = append(out, node)
 		}
 	}
 	return out
@@ -264,5 +260,5 @@ func (ct *ConfinementTracker) Series() []int {
 // ConfinedTo reports whether the walkers never visited more than limit
 // distinct nodes.
 func (ct *ConfinementTracker) ConfinedTo(limit int) bool {
-	return len(ct.visited) <= limit
+	return ct.distinct <= limit
 }
