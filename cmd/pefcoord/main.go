@@ -67,6 +67,7 @@ import (
 	"syscall"
 	"time"
 
+	"pef/internal/durable"
 	"pef/internal/harness"
 	"pef/internal/lease"
 	"pef/internal/scenario"
@@ -137,7 +138,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer srv.Close()
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(srv.Addr()), 0o644); err != nil {
+		if err := durable.WriteFile(*addrFile, []byte(srv.Addr())); err != nil {
 			return err
 		}
 	}

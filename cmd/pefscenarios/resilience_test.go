@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pef/internal/scenario"
 )
 
 // TestResumeFallsBackToRotation corrupts the preferred checkpoint and
@@ -161,5 +163,39 @@ func TestWorkerFlagValidation(t *testing.T) {
 	cancel()
 	if err := run(ctx, []string{"-worker-coord", "http://127.0.0.1:1"}, io.Discard, io.Discard); err == nil {
 		t.Error("worker with cancelled context returned nil")
+	}
+}
+
+// TestFinalCheckpointIsAtomic covers the final checkpoint alone (no
+// -checkpoint-every, so no rotation to fall back on): it must be a
+// complete, decodable file written through a temp sibling that does not
+// survive the write, and resuming it must reproduce the uninterrupted
+// report.
+func TestFinalCheckpointIsAtomic(t *testing.T) {
+	base := []string{"-family", "uniform", "-count", "30", "-maxring", "8"}
+	var whole bytes.Buffer
+	if err := run(context.Background(), base, &whole, io.Discard); err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "final.json")
+	if err := run(context.Background(), append([]string{"-checkpoint", ckpt, "-halt-after", "17"}, base...), io.Discard, io.Discard); err != nil {
+		t.Fatalf("halted run: %v", err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := scenario.DecodeCheckpoint(data); err != nil || c.Done != 17 {
+		t.Fatalf("final checkpoint: %v (done %v), want a decodable 17-scenario prefix", err, c)
+	}
+	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary checkpoint left behind: %v", err)
+	}
+	var resumed bytes.Buffer
+	if err := run(context.Background(), []string{"-resume", ckpt}, &resumed, io.Discard); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if resumed.String() != whole.String() {
+		t.Fatal("resume from the final checkpoint diverged from the uninterrupted run")
 	}
 }

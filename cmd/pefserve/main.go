@@ -61,6 +61,7 @@ import (
 	"syscall"
 	"time"
 
+	"pef/internal/durable"
 	"pef/internal/scenario"
 	"pef/internal/serve"
 	"pef/internal/serve/cache"
@@ -136,7 +137,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+		if err := durable.WriteFile(*addrFile, []byte(ln.Addr().String())); err != nil {
 			ln.Close()
 			return err
 		}

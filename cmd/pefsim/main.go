@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"pef"
+	"pef/internal/durable"
 	"pef/internal/dyngraph"
 	"pef/internal/fsync"
 	"pef/internal/prng"
@@ -154,7 +155,7 @@ func saveGraph(path string, rec *dyngraph.Recorded) error {
 	if err != nil {
 		return fmt.Errorf("encoding graph: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"runtime"
 
 	"pef/internal/harness"
@@ -153,7 +154,11 @@ func (cfg CampaignConfig) resolved() (CampaignConfig, error) {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []uint64{1}
 	}
-	if total := cfg.Count * len(cfg.Seeds); cfg.ShardCount > total {
+	total, err := campaignTotal(cfg.Count, len(cfg.Seeds))
+	if err != nil {
+		return cfg, err
+	}
+	if cfg.ShardCount > total {
 		// An empty shard would checkpoint a [0, 0) block, which is
 		// indistinguishable from a pre-shard whole-campaign checkpoint.
 		return cfg, fmt.Errorf("scenario: %d shards for %d scenarios (every shard must be non-empty)", cfg.ShardCount, total)
@@ -165,6 +170,16 @@ func (cfg CampaignConfig) resolved() (CampaignConfig, error) {
 		cfg.LaneWidth = 1024
 	}
 	return cfg, nil
+}
+
+// campaignTotal returns the number of scenarios in a campaign of count
+// scenarios per seed, refusing a shape whose total overflows int (it
+// would wrap to a small or zero-sized campaign).
+func campaignTotal(count, seeds int) (int, error) {
+	if seeds > 0 && count > math.MaxInt/seeds {
+		return 0, fmt.Errorf("scenario: campaign of %d scenarios × %d seeds overflows", count, seeds)
+	}
+	return count * seeds, nil
 }
 
 // region returns the [start, end) block of the canonical stream this

@@ -2,11 +2,10 @@ package scenario
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
+	"pef/internal/durable"
 	"pef/internal/metrics"
 )
 
@@ -100,7 +99,10 @@ func (c *Checkpoint) validate() error {
 	if c.Count < 1 || len(c.Seeds) == 0 {
 		return fmt.Errorf("scenario: checkpoint lacks campaign shape (count=%d, %d seeds)", c.Count, len(c.Seeds))
 	}
-	total := c.Count * len(c.Seeds)
+	total, err := campaignTotal(c.Count, len(c.Seeds))
+	if err != nil {
+		return err
+	}
 	end := c.effEnd(total)
 	if c.Start < 0 || c.Start > end || end > total {
 		return fmt.Errorf("scenario: checkpoint block [%d, %d) outside campaign of %d scenarios", c.Start, end, total)
@@ -144,26 +146,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 		return nil, err
 	}
 	cp := *c
-	sum, err := cp.contentChecksum()
-	if err != nil {
-		return nil, err
-	}
-	cp.Checksum = sum
-	return json.MarshalIndent(&cp, "", "  ")
-}
-
-// contentChecksum hashes the checkpoint's content: the indented JSON
-// rendering with the Checksum field cleared, so the stored hash covers
-// every other byte of the file.
-func (c *Checkpoint) contentChecksum() (string, error) {
-	cp := *c
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
+	return durable.Seal(&cp, &cp.Checksum)
 }
 
 // DecodeCheckpoint parses and validates an encoded checkpoint,
@@ -176,13 +159,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("scenario: decode checkpoint: %w", err)
 	}
 	if c.Checksum != "" {
-		want, err := c.contentChecksum()
-		if err != nil {
-			return nil, err
-		}
-		if c.Checksum != want {
-			return nil, fmt.Errorf("scenario: checkpoint checksum mismatch (file is corrupt or truncated): stored %s, content %s",
-				c.Checksum, want)
+		if err := durable.Verify(&c, &c.Checksum); err != nil {
+			return nil, fmt.Errorf("scenario: checkpoint %w", err)
 		}
 	}
 	if err := c.validate(); err != nil {

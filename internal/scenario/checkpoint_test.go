@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
 
 // shardCheckpoint runs shard i of n for cfg's campaign to completion and
 // returns its checkpoint.
-func shardCheckpoint(t *testing.T, base CampaignConfig, i, n int) *Checkpoint {
+func shardCheckpoint(t testing.TB, base CampaignConfig, i, n int) *Checkpoint {
 	t.Helper()
 	cfg := base
 	cfg.ShardIndex, cfg.ShardCount = i, n
@@ -127,5 +128,49 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	// Truncation: half a file is not a checkpoint.
 	if _, err := DecodeCheckpoint(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated checkpoint accepted")
+	}
+}
+
+// TestCampaignShapeOverflowRejected feeds campaign shapes whose scenario
+// total count·seeds overflows int. Unchecked, 2^62 scenarios × 4 seeds
+// wraps to a 0-scenario campaign that decodes, merges and resolves as
+// complete; every entry point must refuse it instead.
+func TestCampaignShapeOverflowRejected(t *testing.T) {
+	const wrapsToZero = `{"version":1,"generator":"uniform","gen":{},"count":4611686018427387904,"seeds":[1,2,3,4],"done":0,"ok":0}`
+	for _, tc := range []struct {
+		name  string
+		count int
+		seeds []uint64
+	}{
+		{"wraps to zero", 1 << 62, []uint64{1, 2, 3, 4}},
+		{"wraps to small", 1<<62 + 1, []uint64{1, 2, 3, 4}},
+		{"max count, two seeds", math.MaxInt, []uint64{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := &Checkpoint{Version: Version, Generator: "uniform", Count: tc.count, Seeds: tc.seeds}
+			data, err := json.Marshal(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeCheckpoint(data); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("DecodeCheckpoint: %v, want an overflow rejection", err)
+			}
+			if _, err := MergeCheckpoints(ckpt); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("MergeCheckpoints: %v, want an overflow rejection", err)
+			}
+			if _, err := ckpt.Encode(); err == nil {
+				t.Error("Encode accepted an overflowing shape")
+			}
+			cfg := CampaignConfig{Count: tc.count, Seeds: tc.seeds}
+			if _, err := NewAggregate(cfg); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("NewAggregate: %v, want an overflow rejection", err)
+			}
+			if _, err := RunCampaign(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("RunCampaign: %v, want an overflow rejection", err)
+			}
+		})
+	}
+	if _, err := DecodeCheckpoint([]byte(wrapsToZero)); err == nil {
+		t.Error("the wrapping checkpoint file decoded as a complete campaign")
 	}
 }

@@ -2,11 +2,10 @@ package search
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
+	"pef/internal/durable"
 	"pef/internal/metrics"
 	"pef/internal/scenario"
 )
@@ -220,26 +219,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 		return nil, err
 	}
 	cp := *c
-	sum, err := cp.contentChecksum()
-	if err != nil {
-		return nil, err
-	}
-	cp.Checksum = sum
-	return json.MarshalIndent(&cp, "", "  ")
-}
-
-// contentChecksum hashes the checkpoint's content: the indented JSON
-// rendering with the Checksum field cleared, so the stored hash covers
-// every other byte of the file.
-func (c *Checkpoint) contentChecksum() (string, error) {
-	cp := *c
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
+	return durable.Seal(&cp, &cp.Checksum)
 }
 
 // DecodeCheckpoint parses and validates an encoded search checkpoint,
@@ -252,13 +232,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("search: decode checkpoint: %w", err)
 	}
 	if c.Checksum != "" {
-		want, err := c.contentChecksum()
-		if err != nil {
-			return nil, err
-		}
-		if c.Checksum != want {
-			return nil, fmt.Errorf("search: checkpoint checksum mismatch (file is corrupt or truncated): stored %s, content %s",
-				c.Checksum, want)
+		if err := durable.Verify(&c, &c.Checksum); err != nil {
+			return nil, fmt.Errorf("search: checkpoint %w", err)
 		}
 	}
 	if err := c.validate(); err != nil {

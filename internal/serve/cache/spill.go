@@ -1,14 +1,13 @@
 package cache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 
+	"pef/internal/durable"
 	"pef/internal/scenario"
 )
 
@@ -26,25 +25,40 @@ type spillDoc struct {
 	Checksum    string             `json:"checksum,omitempty"`
 }
 
-// contentChecksum hashes the spill content: the indented JSON rendering
-// with the Checksum field cleared, so the stored hash covers everything
-// else.
-func (d *spillDoc) contentChecksum() (string, error) {
-	cp := *d
-	cp.Checksum = ""
-	body, err := json.MarshalIndent(&cp, "", "  ")
+// encode renders the spill as checksummed indented JSON.
+func (d *spillDoc) encode() ([]byte, error) {
+	data, err := durable.Seal(d, &d.Checksum)
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("verdict cache: encode spill: %w", err)
 	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), nil
+	return append(data, '\n'), nil
 }
 
-// WriteSpill atomically persists the cache under path (write to a temp
-// file, fsync, rename — the checkpoint discipline) and returns the
-// number of verdicts written. Keys are not stored: they are recomputed
-// from each verdict's spec on warm, which is also what keeps a spill
-// useless to a binary whose built-in surface moved.
+// decodeSpill parses a spill image and checks its version, checksum and
+// registry fingerprint. Its error says why the spill is not trusted,
+// phrased to follow "spill PATH" in the cold-start warning.
+func decodeSpill(data []byte) (*spillDoc, error) {
+	var doc spillDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("is unreadable (%v); starting cold, verdicts will be recomputed", err)
+	}
+	if doc.Version != spillVersion {
+		return nil, fmt.Errorf("has format version %d (want %d); starting cold", doc.Version, spillVersion)
+	}
+	if doc.Checksum == "" || durable.Verify(&doc, &doc.Checksum) != nil {
+		return nil, errors.New("failed its content checksum; starting cold, verdicts will be recomputed")
+	}
+	if doc.Fingerprint != Fingerprint() {
+		return nil, errors.New("was written under a different built-in registry surface; starting cold")
+	}
+	return &doc, nil
+}
+
+// WriteSpill atomically persists the cache under path (durable.WriteFile:
+// the checkpoint discipline) and returns the number of verdicts written.
+// Keys are not stored: they are recomputed from each verdict's spec on
+// warm, which is also what keeps a spill useless to a binary whose
+// built-in surface moved.
 func (c *Cache) WriteSpill(path string) (int, error) {
 	doc := spillDoc{Version: spillVersion, Fingerprint: Fingerprint()}
 	c.mu.Lock()
@@ -53,37 +67,11 @@ func (c *Cache) WriteSpill(path string) (int, error) {
 		doc.Verdicts = append(doc.Verdicts, el.Value.(*entry).v)
 	}
 	c.mu.Unlock()
-	sum, err := doc.contentChecksum()
-	if err != nil {
-		return 0, fmt.Errorf("verdict cache: spill checksum: %w", err)
-	}
-	doc.Checksum = sum
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("verdict cache: encode spill: %w", err)
-	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	data, err := doc.encode()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(path, data); err != nil {
 		return 0, err
 	}
 	return len(doc.Verdicts), nil
@@ -106,22 +94,9 @@ func (c *Cache) WarmFromSpill(path string, warnf func(format string, args ...any
 	if err != nil {
 		return 0, err
 	}
-	var doc spillDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		warnf("verdict cache: WARNING: spill %s is unreadable (%v); starting cold, verdicts will be recomputed", path, err)
-		return 0, nil
-	}
-	if doc.Version != spillVersion {
-		warnf("verdict cache: WARNING: spill %s has format version %d (want %d); starting cold", path, doc.Version, spillVersion)
-		return 0, nil
-	}
-	want, err := doc.contentChecksum()
-	if err != nil || doc.Checksum == "" || doc.Checksum != want {
-		warnf("verdict cache: WARNING: spill %s failed its content checksum; starting cold, verdicts will be recomputed", path)
-		return 0, nil
-	}
-	if doc.Fingerprint != Fingerprint() {
-		warnf("verdict cache: WARNING: spill %s was written under a different built-in registry surface; starting cold", path)
+	doc, err := decodeSpill(data)
+	if err != nil {
+		warnf("verdict cache: WARNING: spill %s %v", path, err)
 		return 0, nil
 	}
 	warmed := 0

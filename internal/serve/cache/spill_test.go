@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -151,12 +150,7 @@ func TestSpillUnparseableFallsBackLoudly(t *testing.T) {
 func TestSpillForeignFingerprintFallsBackLoudly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.spill")
 	doc := spillDoc{Version: spillVersion, Fingerprint: strings.Repeat("ab", 32)}
-	sum, err := doc.contentChecksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc.Checksum = sum
-	data, err := json.MarshalIndent(&doc, "", "  ")
+	data, err := doc.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
