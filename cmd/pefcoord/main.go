@@ -46,9 +46,10 @@
 //	                  report
 //
 // The lease fabric serves live introspection on the same listener: GET
-// /status (lease-fabric state) and GET /metrics (telemetry snapshot:
+// /status (lease-fabric state), GET /metrics (telemetry snapshot:
 // lease.granted/expired/reLeased/... counters, lease.ackLatencyMillis
-// histogram). At exit a summary line lands on stderr; at completion
+// histogram), /debug/pprof/ (runtime profiles) and GET / (an index of
+// every route). At exit a summary line lands on stderr; at completion
 // every expired lease has been re-leased, so its expired= and reLeased=
 // fields agree — the observable recovery invariant CI asserts.
 //
@@ -67,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"pef/internal/durable"
 	"pef/internal/harness"
 	"pef/internal/lease"
 	"pef/internal/scenario"
@@ -132,16 +132,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv, err := lease.Serve(*listen, coord)
+	srv, err := lease.Serve(*listen, *addrFile, coord)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	if *addrFile != "" {
-		if err := durable.WriteFile(*addrFile, []byte(srv.Addr())); err != nil {
-			return err
-		}
-	}
 	camp := coord.Campaign()
 	fmt.Fprintf(stderr, "pefcoord: serving http://%s — %d scenarios (generator=%s, count=%d, seeds=%d) in %d blocks\n",
 		srv.Addr(), camp.Total(), camp.Generator, camp.Count, len(camp.Seeds), camp.Blocks)

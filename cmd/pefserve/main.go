@@ -20,6 +20,8 @@
 //	POST /campaign  campaign config → optional JSONL verdicts + report
 //	GET  /healthz   liveness + drain state
 //	GET  /metrics   telemetry snapshot (engine, pool, cache.*, serve.*)
+//	/debug/pprof/   runtime profiles
+//	GET  /          index of these routes
 //
 // Flags:
 //
@@ -54,17 +56,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"pef/internal/durable"
 	"pef/internal/scenario"
 	"pef/internal/serve"
 	"pef/internal/serve/cache"
+	"pef/internal/telemetry"
 )
 
 func main() {
@@ -132,28 +132,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		Telemetry:       tel,
 		Logf:            logf,
 	})
-	ln, err := net.Listen("tcp", *listen)
+	hsrv, err := telemetry.ServeHandler(*listen, *addrFile, srv)
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", *listen, err)
-	}
-	if *addrFile != "" {
-		if err := durable.WriteFile(*addrFile, []byte(ln.Addr().String())); err != nil {
-			ln.Close()
-			return err
-		}
+		return err
 	}
 	logf("pefserve: serving http://%s (cache=%s, rate=%s)",
-		ln.Addr(), describeCache(store, *cacheBytes), describeRate(*rate))
+		hsrv.Addr(), describeCache(store, *cacheBytes), describeRate(*rate))
 
-	hsrv := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hsrv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
+	<-ctx.Done()
 
 	logf("pefserve: signal received; draining (grace %s)", *drainGrace)
 	srv.StartDrain()

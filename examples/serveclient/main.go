@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -29,6 +28,7 @@ import (
 	"pef/internal/scenario"
 	"pef/internal/serve"
 	"pef/internal/serve/cache"
+	"pef/internal/telemetry"
 )
 
 func main() {
@@ -44,12 +44,12 @@ func main() {
 			Cache:     cache.New(cache.Config{Telemetry: tel.Registry()}),
 			Telemetry: tel,
 		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		hs, err := telemetry.ServeHandler("127.0.0.1:0", "", srv)
 		if err != nil {
 			log.Fatal(err)
 		}
-		go http.Serve(ln, srv) //nolint:errcheck // torn down with the process
-		base = "http://" + ln.Addr().String()
+		defer hs.Close()
+		base = "http://" + hs.Addr()
 		fmt.Printf("self-hosted pefserve at %s\n\n", base)
 	}
 

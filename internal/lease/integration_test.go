@@ -90,7 +90,7 @@ func TestChaosFleetReproducesSingleProcessBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	srv, err := Serve("127.0.0.1:0", coord)
+	srv, err := Serve("127.0.0.1:0", "", coord)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestCleanFleetCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	srv, err := Serve("127.0.0.1:0", coord)
+	srv, err := Serve("127.0.0.1:0", "", coord)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestWorkerReportsCampaignFailure(t *testing.T) {
 		t.Fatalf("exhausted lease: got %+v, want Failed", resp)
 	}
 
-	srv, err := Serve("127.0.0.1:0", coord)
+	srv, err := Serve("127.0.0.1:0", "", coord)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

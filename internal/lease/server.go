@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"time"
+
+	"pef/internal/telemetry"
 )
 
 // Protocol request bodies. Responses are LeaseResponse, AckResponse, and
@@ -44,36 +44,46 @@ type (
 	}
 )
 
-// Handler serves the lease protocol for a coordinator:
+// maxBody bounds a request body; an /ack body embeds a whole block
+// checkpoint.
+const maxBody = 64 << 20
+
+// Handler serves the lease protocol for a coordinator on the shared
+// telemetry.Mux skeleton:
 //
 //	POST /lease      LeaseRequest     -> LeaseResponse
 //	POST /heartbeat  HeartbeatRequest -> {} | 409
 //	POST /ack        AckRequest       -> AckResponse | 409 | 400
 //	GET  /status     -> Status
 //	GET  /metrics    -> telemetry snapshot (empty when no Registry)
+//	/debug/pprof/    runtime profiles
+//	GET  /           index of these routes
 func Handler(c *Coordinator) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
+	mux := telemetry.NewMux("pefcoord lease fabric", c.cfg.Registry.Snapshot)
+	mux.Route("POST /lease", "LeaseRequest -> LeaseResponse", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !decodeBody(w, r, &req) {
+		if err := telemetry.DecodeJSON(w, r, maxBody, &req); err != nil {
+			writeError(w, fmt.Errorf("lease: %w", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Lease(req.Worker))
+		telemetry.WriteJSON(w, http.StatusOK, c.Lease(req.Worker))
 	})
-	mux.HandleFunc("POST /heartbeat", func(w http.ResponseWriter, r *http.Request) {
+	mux.Route("POST /heartbeat", "HeartbeatRequest -> {} | 409", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodeBody(w, r, &req) {
+		if err := telemetry.DecodeJSON(w, r, maxBody, &req); err != nil {
+			writeError(w, fmt.Errorf("lease: %w", err))
 			return
 		}
 		if err := c.Heartbeat(req.Block, req.Token); err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
+		telemetry.WriteJSON(w, http.StatusOK, struct{}{})
 	})
-	mux.HandleFunc("POST /ack", func(w http.ResponseWriter, r *http.Request) {
+	mux.Route("POST /ack", "AckRequest -> AckResponse | 409 | 400", func(w http.ResponseWriter, r *http.Request) {
 		var req AckRequest
-		if !decodeBody(w, r, &req) {
+		if err := telemetry.DecodeJSON(w, r, maxBody, &req); err != nil {
+			writeError(w, fmt.Errorf("lease: %w", err))
 			return
 		}
 		dup, err := c.Ack(req.Block, req.Token, req.Checkpoint)
@@ -81,38 +91,12 @@ func Handler(c *Coordinator) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, AckResponse{Duplicate: dup})
+		telemetry.WriteJSON(w, http.StatusOK, AckResponse{Duplicate: dup})
 	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.cfg.Registry.Snapshot())
-	})
-	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "pefcoord lease fabric")
-		fmt.Fprintln(w, "  POST /lease /heartbeat /ack   worker protocol")
-		fmt.Fprintln(w, "  GET  /status                  lease-fabric state (JSON)")
-		fmt.Fprintln(w, "  GET  /metrics                 telemetry snapshot (JSON)")
+	mux.Route("GET /status", "lease-fabric state (JSON)", func(w http.ResponseWriter, r *http.Request) {
+		telemetry.WriteJSON(w, http.StatusOK, c.Status())
 	})
 	return mux
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err == nil {
-		err = json.Unmarshal(body, v)
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("lease: bad request body: %v", err)})
-		return false
-	}
-	return true
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -120,39 +104,26 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrStale) {
 		code = http.StatusConflict
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	telemetry.WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone: nothing to report to
-}
-
-// Server runs a coordinator's Handler on a TCP listener, with a
-// background expiry tick so silent leases lapse even when no request
+// Server runs a coordinator's Handler on the shared HTTP skeleton, with
+// a background expiry tick so silent leases lapse even when no request
 // traffic drives the sweep.
 type Server struct {
-	ln   net.Listener
-	srv  *http.Server
+	*telemetry.Server
 	stop chan struct{}
 }
 
 // Serve starts the lease endpoint on addr (":0" picks a free port; Addr
-// reports the choice).
-func Serve(addr string, c *Coordinator) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+// reports the choice), writing the bound address to a non-empty
+// addrFile.
+func Serve(addr, addrFile string, c *Coordinator) (*Server, error) {
+	hs, err := telemetry.ServeHandler(addr, addrFile, Handler(c))
 	if err != nil {
-		return nil, fmt.Errorf("lease: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("lease: %w", err)
 	}
-	s := &Server{
-		ln:   ln,
-		srv:  &http.Server{Handler: Handler(c), ReadHeaderTimeout: 5 * time.Second},
-		stop: make(chan struct{}),
-	}
-	go s.srv.Serve(ln) //nolint:errcheck // Close() shutdown error is expected
+	s := &Server{Server: hs, stop: make(chan struct{})}
 	tick := c.Timeout() / 4
 	if tick < time.Millisecond {
 		tick = time.Millisecond
@@ -172,9 +143,6 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
 // Close stops the expiry ticker and shuts the server down. Nil receiver:
 // no-op.
 func (s *Server) Close() error {
@@ -182,5 +150,5 @@ func (s *Server) Close() error {
 		return nil
 	}
 	close(s.stop)
-	return s.srv.Close()
+	return s.Server.Close()
 }

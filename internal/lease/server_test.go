@@ -132,6 +132,41 @@ func TestHandlerProtocol(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsLooseBodies: every protocol body decodes strictly —
+// an undeclared field or bytes after the JSON value are a 400 and touch
+// no lease state.
+func TestHandlerRejectsLooseBodies(t *testing.T) {
+	c := newTestCoordinator(t, newFakeClock(), nil)
+	ts := httptest.NewServer(Handler(c))
+	defer ts.Close()
+	for _, tc := range []struct{ path, body, want string }{
+		{"/lease", `{"worker":"w","wroker":"x"}`, `unknown field "wroker"`},
+		{"/lease", `{"worker":"w"} {"worker":"x"}`, "trailing data"},
+		{"/heartbeat", `{"worker":"w","block":0,"token":1,"epoch":2}`, `unknown field "epoch"`},
+		{"/heartbeat", `{"worker":"w","block":0,"token":1}garbage`, "trailing data"},
+		{"/ack", `{"worker":"w","block":0,"token":1,"checkpoint":{},"sum":3}`, `unknown field "sum"`},
+		{"/ack", `{"worker":"w","block":0,"token":1,"checkpoint":{}}]`, "trailing data"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("read body: %v", err)
+		}
+		var eb errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &eb) != nil ||
+			!strings.Contains(eb.Error, tc.want) {
+			t.Errorf("POST %s %s: HTTP %d %s, want 400 with %q", tc.path, tc.body, resp.StatusCode, data, tc.want)
+		}
+	}
+	if st := c.Status(); st.Granted != 0 {
+		t.Fatalf("rejected bodies changed lease state: %+v", st)
+	}
+}
+
 func TestServeBackgroundExpiry(t *testing.T) {
 	// A real-clock coordinator with a tiny timeout: the server's expiry
 	// ticker must lapse a silent lease with no request traffic at all.
@@ -147,7 +182,7 @@ func TestServeBackgroundExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	srv, err := Serve("127.0.0.1:0", c)
+	srv, err := Serve("127.0.0.1:0", "", c)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"pef/internal/scenario"
 	"pef/internal/serve/cache"
+	"pef/internal/telemetry"
 )
 
 // CampaignRequest is the POST /campaign body: the client-visible half of
@@ -42,7 +43,8 @@ type CampaignRequest struct {
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.campaigns.Inc()
 	var req CampaignRequest
-	if !decodeBody(w, r, &req) {
+	if err := telemetry.DecodeJSON(w, r, maxBody, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ccfg := scenario.CampaignConfig{
@@ -164,16 +166,4 @@ func (a *campaignCache) firstError() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.err
-}
-
-// decodeBody parses a bounded JSON request body, rejecting unknown
-// fields so typos fail loudly instead of silently running defaults.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
 }

@@ -14,6 +14,11 @@
 //	POST /campaign  CampaignRequest → optional JSONL verdicts + report
 //	GET  /healthz   liveness + drain state
 //	GET  /metrics   telemetry snapshot (engine, pool, cache, serve)
+//	/debug/pprof/   runtime profiles
+//	GET  /          index of these routes
+//
+// Request bodies over 1 MiB, with an unknown field, or with bytes after
+// the JSON value are a 400 (telemetry.DecodeJSON).
 //
 // Byte-identity invariant: the report a served campaign streams is
 // byte-identical to the pefscenarios single-process run of the same
@@ -24,10 +29,7 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -91,7 +93,7 @@ type Server struct {
 	store    *cache.Cache
 	limiter  *rateLimiter
 	inflight chan struct{}
-	mux      *http.ServeMux
+	mux      *telemetry.Mux
 
 	draining  atomic.Bool
 	abortOnce sync.Once
@@ -138,12 +140,10 @@ func New(cfg Config) *Server {
 	if cfg.Rate > 0 {
 		s.limiter = newRateLimiter(cfg.Rate, cfg.Burst, cfg.Now)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /run", s.admit(s.handleRun))
-	mux.HandleFunc("POST /campaign", s.admit(s.handleCampaign))
-	s.mux = mux
+	s.mux = telemetry.NewMux("pefserve campaign service", s.tel.Snapshot)
+	s.mux.Route("GET /healthz", "liveness + drain state", s.handleHealthz)
+	s.mux.Route("POST /run", "one encoded Spec → its Verdict (?cache=off bypasses)", s.admit(s.handleRun))
+	s.mux.Route("POST /campaign", "CampaignRequest → optional JSONL verdicts + report", s.admit(s.handleCampaign))
 	return s
 }
 
@@ -228,20 +228,10 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, healthzResponse{Status: "draining", Draining: true})
+		telemetry.WriteJSON(w, http.StatusServiceUnavailable, healthzResponse{Status: "draining", Draining: true})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok"})
-}
-
-// handleMetrics serves the shared telemetry snapshot — engine, pool,
-// cache.* and serve.* instruments — in the same indented-JSON shape as
-// telemetry.Server's /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.tel.Snapshot()) //nolint:errcheck // client gone: nothing to report to
+	telemetry.WriteJSON(w, http.StatusOK, healthzResponse{Status: "ok"})
 }
 
 // handleRun executes one encoded Spec and returns its Verdict. With a
@@ -253,16 +243,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // opts out.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runs.Inc()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
 	var spec scenario.Spec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding spec: %v", err))
+	if err := telemetry.DecodeJSON(w, r, maxBody, &spec); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if spec.Version != scenario.Version {
@@ -298,7 +281,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// cancellation): a client error, reported with the full verdict.
 		code = http.StatusBadRequest
 	}
-	writeJSON(w, code, v)
+	telemetry.WriteJSON(w, code, v)
 }
 
 // runOne executes one spec under the server's registry and telemetry.
@@ -311,18 +294,13 @@ func (s *Server) runOne(r *http.Request, spec scenario.Spec) scenario.Verdict {
 	return v
 }
 
+// maxBody bounds a /run or /campaign request body.
+const maxBody = 1 << 20
+
 type errorBody struct {
 	Error string `json:"error"`
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: "pefserve: " + msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone: nothing to report to
+	telemetry.WriteJSON(w, code, errorBody{Error: "pefserve: " + msg})
 }

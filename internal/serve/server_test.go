@@ -109,6 +109,41 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesAreStrict: /run and /campaign accept exactly one
+// JSON value of at most 1 MiB with only declared fields. Bytes after the
+// value — a second value or plain garbage — are a 400, never a run of the
+// first value with the rest ignored.
+func TestRequestBodiesAreStrict(t *testing.T) {
+	spec, err := testSpec(46).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign := `{"generator":"boundary","count":2}`
+	pad := strings.Repeat(" ", maxBody)
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+		want             string
+	}{
+		{"campaign ok", "/campaign", campaign + "\n", http.StatusOK, "boundary"},
+		{"run ok", "/run", string(spec) + "\n", http.StatusOK, `"ok": true`},
+		{"campaign second value", "/campaign", campaign + ` {"count":100000}`, http.StatusBadRequest, "trailing data"},
+		{"run trailing garbage", "/run", string(spec) + "garbage", http.StatusBadRequest, "trailing data"},
+		{"campaign unknown field", "/campaign", `{"generator":"boundary","cuont":2}`, http.StatusBadRequest, `unknown field \"cuont\"`},
+		{"campaign oversized", "/campaign", pad + campaign, http.StatusBadRequest, "too large"},
+		{"run oversized", "/run", pad + string(spec), http.StatusBadRequest, "too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			w := httptest.NewRecorder()
+			New(Config{}).ServeHTTP(w, req)
+			if w.Code != tc.code || !strings.Contains(w.Body.String(), tc.want) {
+				t.Fatalf("code %d, want %d with %q; body %.300s", w.Code, tc.code, tc.want, w.Body.String())
+			}
+		})
+	}
+}
+
 // TestRunUnfingerprintableFailsLoudly: caching was requested (the server
 // has a cache and the client did not opt out) for a spec whose names are
 // outside the built-in surface — that is a loud 400 with the opt-out

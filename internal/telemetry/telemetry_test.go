@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"reflect"
 	"strings"
 	"sync"
@@ -240,53 +239,5 @@ func TestTracerLatchesWriteError(t *testing.T) {
 	tr.Emit("dropped", nil)
 	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "fails") {
 		t.Fatalf("err = %v, want latched failure on %q", err, "fails")
-	}
-}
-
-// TestServeEndToEnd boots the introspection server on a free port and
-// checks /metrics JSON, the index, and a pprof route.
-func TestServeEndToEnd(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("runs").Add(42)
-	r.Hist("margin").Observe(7)
-	srv, err := Serve("127.0.0.1:0", r.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (int, []byte) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
-	}
-
-	code, body := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status %d", code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/metrics not JSON: %v\n%s", err, body)
-	}
-	if snap.Counters["runs"] != 42 || snap.Hists["margin"].Count != 1 {
-		t.Fatalf("/metrics snapshot = %+v", snap)
-	}
-
-	if code, body := get("/"); code != http.StatusOK || !strings.Contains(string(body), "/debug/pprof") {
-		t.Fatalf("index: status %d body %q", code, body)
-	}
-	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline status %d", code)
-	}
-	if code, _ := get("/nope"); code != http.StatusNotFound {
-		t.Fatalf("unknown path status %d, want 404", code)
 	}
 }

@@ -38,8 +38,8 @@ type Tracer = telemetry.Tracer
 func NewTracer(w io.Writer) *Tracer { return telemetry.NewTracer(w) }
 
 // TelemetryServer is the opt-in HTTP introspection endpoint: the live
-// snapshot as JSON under /metrics plus net/http/pprof under
-// /debug/pprof. Close it when done; Close on nil is a no-op.
+// snapshot as JSON under /metrics, net/http/pprof under /debug/pprof/
+// and a route index at /. Close it when done; Close on nil is a no-op.
 type TelemetryServer = telemetry.Server
 
 // ServeTelemetry starts the introspection endpoint on addr (":0" picks a
