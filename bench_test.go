@@ -123,13 +123,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
-				rep, err := Explore(context.Background(), ExploreConfig{
-					Robots:    k,
-					Algorithm: PEF3Plus(),
-					Dynamics:  Bernoulli(n, 0.5, 99),
-					Horizon:   b.N,
-					Seed:      99,
-				})
+				rep, err := explore(context.Background(), PEF3Plus(), Bernoulli(n, 0.5, 99), k, b.N, 99)
 				if err != nil {
 					b.Fatal(err)
 				}

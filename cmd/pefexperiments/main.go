@@ -7,6 +7,7 @@
 //
 //	pefexperiments                      # full index, seed 1, markdown report
 //	pefexperiments -only E-F2           # one experiment
+//	pefexperiments -only E-T1           # Table 1: rows E-T1.R1 … E-T1.R5
 //	pefexperiments -seeds 8             # sweep seeds 1..8, aggregate report
 //	pefexperiments -seeds 32 -workers 8 # same sweep, 8 workers
 //	pefexperiments -seeds 8 -json       # machine-readable sweep output
@@ -20,7 +21,9 @@
 //	-json       emit the sweep as JSON (for BENCH_*.json trajectories)
 //	-timings    add per-job wall times to -json output (non-deterministic;
 //	            feeds pefbenchdiff's wall-time comparison)
-//	-only ID    restrict to a single experiment (combines with -seeds)
+//	-only P     restrict to the experiments whose ID is P or starts with
+//	            "P." (E-T1 selects the five Table 1 rows; E-X1 selects
+//	            E-X1 alone, not E-X10…E-X12). Combines with -seeds.
 //	-shard      split heavy ring-size sweeps into per-(ring, victim) jobs
 //	            so no single experiment serializes on one worker. On by
 //	            default since the report consumers migrated to the finer
@@ -61,6 +64,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"pef/internal/harness"
@@ -88,7 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quick    = fs.Bool("quick", false, "reduced horizons and sweeps")
 		shard    = fs.Bool("shard", true, "split heavy ring-size sweeps into per-ring-size jobs (-shard=false for coarse rows)")
 		lockstep = fs.Bool("lockstep", true, "exercise the bit-parallel lockstep engine where experiments use it (-lockstep=false for the scalar escape hatch)")
-		only     = fs.String("only", "", "run a single experiment by ID (e.g. E-F2)")
+		only     = fs.String("only", "", "run the experiments with this ID or ID prefix (e.g. E-F2, E-T1)")
 		progress = fs.Int("progress", 0, "print a progress line to stderr every N retired jobs")
 		telAddr  = fs.String("telemetry-addr", "", "serve the live pool telemetry and pprof on this address (\":0\" picks a free port)")
 		traceFn  = fs.String("trace-events", "", "write sweep lifecycle events to this path as JSONL")
@@ -105,11 +109,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	exps := harness.All()
 	if *only != "" {
-		exp, ok := harness.Find(*only)
-		if !ok {
+		if exps = selectExperiments(exps, *only); len(exps) == 0 {
 			return fmt.Errorf("unknown experiment %q", *only)
 		}
-		exps = []harness.Experiment{exp}
 	}
 	sweep := harness.Seeds(*seed, *seeds)
 
@@ -291,4 +293,17 @@ func writeJSON(w io.Writer, seeds []uint64, quick, timings bool, jobs []harness.
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// selectExperiments keeps the experiments whose ID equals prefix or
+// continues it past a dot: "E-T1" selects E-T1.R1…E-T1.R5, while "E-X1"
+// selects E-X1 alone, not E-X10…E-X12.
+func selectExperiments(exps []harness.Experiment, prefix string) []harness.Experiment {
+	var out []harness.Experiment
+	for _, e := range exps {
+		if e.ID == prefix || strings.HasPrefix(e.ID, prefix+".") {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -131,3 +131,43 @@ func TestShardDefaultOn(t *testing.T) {
 		t.Fatal("-shard=false lost the experiment row")
 	}
 }
+
+// TestOnlySelectsByIDPrefix: -only takes an exact ID or a dot-separated
+// prefix. E-T1 is the whole of Table 1, while E-X1 must not swallow
+// E-X10…E-X12, and an ID that matches nothing is an error.
+func TestOnlySelectsByIDPrefix(t *testing.T) {
+	for _, c := range []struct {
+		only string
+		want []string
+	}{
+		{"E-T1", []string{"E-T1.R1", "E-T1.R2", "E-T1.R3", "E-T1.R4", "E-T1.R5"}},
+		{"E-T1.R3", []string{"E-T1.R3"}},
+		{"E-X1", []string{"E-X1"}},
+		{"E-F2", []string{"E-F2"}},
+		{"E-T", nil},
+		{"E-X1.", nil},
+	} {
+		var got []string
+		for _, e := range selectExperiments(harness.All(), c.only) {
+			got = append(got, e.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(c.want, ",") {
+			t.Errorf("-only %s selects %v, want %v", c.only, got, c.want)
+		}
+	}
+	if err := run(context.Background(), []string{"-only", "E-T"}, io.Discard, io.Discard); err == nil {
+		t.Error("-only E-T matched nothing but was accepted")
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-only", "E-T1"}, &buf, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"E-T1.R1", "E-T1.R5"} {
+		if !strings.Contains(buf.String(), id) {
+			t.Errorf("-only E-T1 report lacks %s", id)
+		}
+	}
+	if strings.Contains(buf.String(), "## E-F1") {
+		t.Error("-only E-T1 report runs E-F1")
+	}
+}

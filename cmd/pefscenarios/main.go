@@ -18,6 +18,10 @@
 //	             -families periodic,compose:union  # combinator families only
 //	pefscenarios -list                         # list the registry contents
 //
+//	# one scenario: run an encoded spec (from a file, or - for stdin) and
+//	# print its verdict, here with the first 14 rounds as a diagram
+//	pefscenarios -spec confine-two.json -viz 14
+//
 //	# checkpoint/resume: run half, stop, resume — final report identical
 //	pefscenarios -count 1000 -checkpoint c.json -halt-after 500
 //	pefscenarios -resume c.json
@@ -52,14 +56,21 @@
 //	                 lockstep engine, up to 64 seeds per machine word
 //	                 (default true; -lockstep=false forces the scalar
 //	                 engine — output is byte-identical either way)
-//	-lanewidth N     lane-packing window: consecutive scenarios grouped
-//	                 by shape into lane runs (default 1024)
 //	-timings         record the campaign's wall time: a trailing line in
 //	                 report mode, the "millis" field in -json mode (the
 //	                 only field that varies run to run)
 //	-json            emit the versioned campaign document (for BENCH_*.json)
 //	-list            list the registry contents (generators, families,
 //	                 algorithms, properties) and exit
+//	-spec P          run the one scenario encoded in file P ("-" reads
+//	                 stdin) instead of a campaign: the JSON Spec.Encode
+//	                 writes, -minimize and pefsearch print, and pefserve's
+//	                 /run accepts. Prints the verdict; exits non-zero on a
+//	                 violation. A spec replays its execution bit for bit,
+//	                 so it is also the replay handle. Every other flag but
+//	                 -viz conflicts.
+//	-viz N           with -spec, append a space-time diagram of the first
+//	                 N rounds (robots, towers, missing edges)
 //	-checkpoint P    write a resumable campaign checkpoint to P when the
 //	                 campaign finishes or halts. Every checkpoint write
 //	                 goes through internal/durable (temp file, fsync,
@@ -106,7 +117,7 @@
 //	                 URL U and run granted blocks until the campaign is
 //	                 done. The coordinator owns the campaign identity, so
 //	                 every campaign-shaping flag conflicts; only engine
-//	                 knobs (-workers, -lockstep, -lanewidth) apply.
+//	                 knobs (-workers, -lockstep) apply.
 //	-worker-id ID    worker name in the lease fabric (default
 //	                 worker-<pid>)
 //	-chaos-seed N    arm the deterministic fault schedule: per the seeded
@@ -138,9 +149,11 @@ import (
 	"time"
 
 	"pef/internal/durable"
+	"pef/internal/fsync"
 	"pef/internal/harness"
 	"pef/internal/scenario"
 	"pef/internal/telemetry"
+	"pef/internal/trace"
 )
 
 func main() {
@@ -166,10 +179,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		weights    = fs.String("family-weights", "", "weighted family pool for the registered generator, e.g. \"bernoulli=3,periodic=1\"")
 		maxRing    = fs.Int("maxring", 16, "largest sampled ring size")
 		lockstep   = fs.Bool("lockstep", true, "run shape-aligned scenarios on the bit-parallel lane engine")
-		laneWidth  = fs.Int("lanewidth", 0, "lane-packing window: consecutive scenarios grouped by shape into lane runs (<1 means 1024)")
 		timings    = fs.Bool("timings", false, "record the campaign's wall time in the output")
 		jsonOut    = fs.Bool("json", false, "emit the versioned campaign document")
 		list       = fs.Bool("list", false, "list the registry contents and exit")
+		specFile   = fs.String("spec", "", "run the one encoded spec in this file (- for stdin) and print its verdict")
+		viz        = fs.Int("viz", 0, "with -spec, render a space-time diagram of the first N rounds")
 		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint to this path on finish or halt")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "write a rotating checkpoint every N aggregated scenarios")
 		haltAfter  = fs.Int("halt-after", 0, "stop after aggregating this many scenarios (requires -checkpoint)")
@@ -188,8 +202,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *specFile != "" {
+		// One scenario, not a campaign: the spec pins everything, so any
+		// other flag would be silently ignored — refuse it instead.
+		var conflict string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "spec" && f.Name != "viz" && conflict == "" {
+				conflict = f.Name
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-%s conflicts with -spec (the spec pins the whole run)", conflict)
+		}
+		if len(fs.Args()) > 0 {
+			return fmt.Errorf("unexpected arguments %v with -spec", fs.Args())
+		}
+		if *viz < 0 {
+			return fmt.Errorf("-viz must be >= 0, got %d", *viz)
+		}
+		return runSpec(ctx, *specFile, *viz, stdout)
+	}
 	if *list {
 		return writeList(stdout)
+	}
+	if *viz != 0 {
+		return fmt.Errorf("-viz requires -spec")
 	}
 	if *workerURL != "" {
 		// Worker mode: the campaign identity comes from the coordinator's
@@ -198,13 +235,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			"checkpoint", "checkpoint-every", "halt-after", "resume", "shard-index", "shard-count",
 			"merge", "minimize", "json", "timings"} {
 			if explicitFlag(fs, name) {
-				return fmt.Errorf("-%s conflicts with -worker-coord (the coordinator owns the campaign; workers only bring -workers/-lockstep/-lanewidth)", name)
+				return fmt.Errorf("-%s conflicts with -worker-coord (the coordinator owns the campaign; workers only bring -workers/-lockstep)", name)
 			}
 		}
 		return runWorker(ctx, strings.TrimRight(*workerURL, "/"), *workerID, workerOptions{
 			Workers:         *workers,
 			DisableLockstep: !*lockstep,
-			LaneWidth:       *laneWidth,
 			ChaosSeed:       *chaosSeed,
 		}, stderr)
 	}
@@ -258,7 +294,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ShardIndex:      *shardIdx,
 		ShardCount:      *shardCnt,
 		DisableLockstep: !*lockstep,
-		LaneWidth:       *laneWidth,
 	}
 	if *resume != "" {
 		ckpt, used, err := durable.ReadRotating(*resume, scenario.DecodeCheckpoint)
@@ -425,6 +460,45 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("%d of %d scenario(s) violate the paper's predicates", len(violations), agg.Done())
+	}
+	return nil
+}
+
+// runSpec runs the one scenario encoded at path ("-" reads stdin) and
+// prints its verdict, followed by a space-time diagram of the first rows
+// rounds when rows > 0. A violated predicate is a non-nil error, so the
+// exit code tells.
+func runSpec(ctx context.Context, path string, rows int, stdout io.Writer) error {
+	var data []byte
+	var err error
+	if path == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return err
+	}
+	s, err := scenario.DecodeSpec(data)
+	if err != nil {
+		return err
+	}
+	diagram := trace.NewDiagram(rows)
+	v, err := scenario.RunWith(ctx, s, scenario.RunOptions{Observers: []fsync.Observer{diagram}})
+	if err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(stdout, "spec      %s\nexpect    %s\noutcome   %s\ncovered   %d/%d nodes (cover time %d)\nmax gap   %d rounds\ndistinct  %d nodes\nok        %t\n",
+		v.ID, v.Expect, v.Outcome, v.Covered, s.Ring, v.CoverTime, v.MaxGap, v.Distinct, v.OK); err != nil {
+		return err
+	}
+	if d := diagram.String(); d != "" {
+		if _, err := fmt.Fprintf(stdout, "\n%s", d); err != nil {
+			return err
+		}
+	}
+	if !v.OK {
+		return fmt.Errorf("%s violates its predicate: %s", v.ID, v.Violation)
 	}
 	return nil
 }

@@ -13,12 +13,11 @@ import (
 // workerOptions carries the engine knobs a lease worker applies to every
 // block it runs. The campaign identity itself always comes from the
 // coordinator's grant — workers bring compute, not configuration — and
-// none of these knobs can change block bytes (worker count, lane width
-// and engine choice are all byte-invisible).
+// none of these knobs can change block bytes (worker count and engine
+// choice are both byte-invisible).
 type workerOptions struct {
 	Workers         int
 	DisableLockstep bool
-	LaneWidth       int
 	ChaosSeed       uint64
 }
 
@@ -57,7 +56,6 @@ func runWorker(ctx context.Context, coordURL, id string, opts workerOptions, std
 				ShardCount:      g.Campaign.Blocks,
 				Workers:         opts.Workers,
 				DisableLockstep: opts.DisableLockstep,
-				LaneWidth:       opts.LaneWidth,
 			}
 			agg, err := scenario.NewAggregate(cfg)
 			if err != nil {

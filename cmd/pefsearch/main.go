@@ -13,7 +13,7 @@
 //
 // Every draw is hash-keyed by (seed, generation, slot) and all steering
 // is single-threaded, so a fixed-seed search is byte-identical for any
-// -workers, -lanewidth and -lockstep setting.
+// -workers and -lockstep setting.
 //
 //	pefsearch                                  # 8 generations of 256, seed 1
 //	pefsearch -seed 7 -generations 20 -json    # machine-readable boundary report
@@ -43,7 +43,6 @@
 //	-maxrobots N       largest sampled team (default 5)
 //	-workers M         worker pool size; <1 means GOMAXPROCS
 //	-lockstep          bit-parallel lane engine (default true)
-//	-lanewidth N       lane-packing window in specs (default 1024)
 //	-json              emit the boundary-report document instead of text
 //	-checkpoint P      write a resumable search checkpoint to P on finish
 //	                   or halt, through internal/durable (temp file,
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxRobots  = fs.Int("maxrobots", 0, "largest sampled team size (default 5)")
 		workers    = fs.Int("workers", 0, "worker pool size (<1 means GOMAXPROCS)")
 		lockstep   = fs.Bool("lockstep", true, "run shape-aligned specs on the bit-parallel lane engine")
-		laneWidth  = fs.Int("lanewidth", 0, "lane-packing window: consecutive specs grouped by shape into lane runs (<1 means 1024)")
 		jsonOut    = fs.Bool("json", false, "emit the boundary-report document instead of the text report")
 		checkpoint = fs.String("checkpoint", "", "write a resumable checkpoint to this path on finish or halt")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "write a rotating checkpoint every N generations")
@@ -155,7 +153,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		CorpusSize:      *corpusSize,
 		MaxMinimize:     *maxMin,
 		Workers:         *workers,
-		LaneWidth:       *laneWidth,
 		DisableLockstep: !*lockstep,
 	}
 	if *resume != "" {

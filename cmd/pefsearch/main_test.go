@@ -32,7 +32,7 @@ func runSearch(t *testing.T, extra ...string) (string, string) {
 
 // TestSearchJSONByteIdenticalAcrossEngineShapes pins the CLI-level
 // determinism guarantee: the boundary-report document does not depend on
-// the worker count, the lane-packing window or the engine path.
+// the worker count or the engine path.
 func TestSearchJSONByteIdenticalAcrossEngineShapes(t *testing.T) {
 	want, wantErr := runSearch(t, "-json", "-workers", "1")
 	if want == "" {
@@ -40,7 +40,7 @@ func TestSearchJSONByteIdenticalAcrossEngineShapes(t *testing.T) {
 	}
 	for _, shape := range [][]string{
 		{"-workers", "4"},
-		{"-lanewidth", "16"},
+		{"-workers", "2"},
 		{"-lockstep=false"},
 	} {
 		got, gotErr := runSearch(t, append([]string{"-json"}, shape...)...)

@@ -29,7 +29,6 @@
 //	-addr-file P      write the bound address to P (for scripts racing
 //	                  against ":0")
 //	-workers N        campaign worker pool size (<1 means GOMAXPROCS)
-//	-lanewidth N      lane-packing window in scenarios (<1 means 1024)
 //	-lockstep         use the bit-parallel lane engine (default true)
 //	-cache-bytes N    verdict cache capacity (default 256 MiB; 0 disables
 //	                  the cache entirely)
@@ -86,7 +85,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		listen      = fs.String("listen", "127.0.0.1:0", "listen address (\":0\" picks a free port)")
 		addrFile    = fs.String("addr-file", "", "write the bound address to this file")
 		workers     = fs.Int("workers", 0, "campaign worker pool size (<1 means GOMAXPROCS)")
-		laneWidth   = fs.Int("lanewidth", 0, "lane-packing window: consecutive scenarios grouped by shape into lane runs (<1 means 1024)")
 		lockstep    = fs.Bool("lockstep", true, "run shape-aligned scenarios on the bit-parallel lane engine")
 		cacheBytes  = fs.Int64("cache-bytes", 256<<20, "verdict cache capacity in bytes (0 disables the cache)")
 		spill       = fs.String("spill", "", "warm the cache from this file at startup, spill back on drain")
@@ -124,7 +122,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	srv := serve.New(serve.Config{
 		Cache:           store,
 		Workers:         *workers,
-		LaneWidth:       *laneWidth,
 		DisableLockstep: !*lockstep,
 		MaxInFlight:     *maxInFlight,
 		Rate:            *rate,

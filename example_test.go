@@ -8,21 +8,22 @@ import (
 )
 
 // The possibility side of Table 1: three PEF_3+ robots perpetually explore
-// a ring whose edge vanishes forever — the paper's canonical hard case.
-func ExampleExplore() {
-	report, err := pef.Explore(context.Background(), pef.ExploreConfig{
-		Robots:    3,
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  pef.EventualMissing(8, 2, 32, 7),
-		Horizon:   2000,
-		Seed:      7,
-	})
+// a ring whose edge vanishes forever — the paper's canonical hard case. A
+// visit tracker attached to the run reports per-node coverage.
+func ExampleNewVisitTracker() {
+	report := pef.NewVisitTracker(8)
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: 8, Robots: 3, Algorithm: "pef3+", Placement: "random",
+		Family: "eventual-missing", Params: pef.ScenarioParams{Edge: 2, From: 32, P: 0.7, Delta: 4},
+		Horizon: 2000, Seed: 7,
+	}, pef.WithObservers(report))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("covered %d/%d nodes\n", report.Covered, report.Nodes)
-	fmt.Printf("perpetual: %t\n", report.PerpetuallyExplored(1000))
+	rep := report.Report()
+	fmt.Printf("covered %d/%d nodes\n", rep.Covered, rep.Nodes)
+	fmt.Printf("perpetual: %t\n", rep.PerpetuallyExplored(1000))
 	// Output:
 	// covered 8/8 nodes
 	// perpetual: true
@@ -31,50 +32,56 @@ func ExampleExplore() {
 // The impossibility side: the Theorem 5.1 adversary confines any single
 // deterministic robot — here the paper's own PEF_3+ run with one robot —
 // to two nodes of an 8-node ring.
-func ExampleConfineOneRobot() {
-	report, err := pef.ConfineOneRobot(context.Background(), pef.PEF3Plus(), 8, 512)
+func ExampleNewConfinementTracker() {
+	visited := pef.NewConfinementTracker()
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: 8, Robots: 1, Algorithm: "pef3+", Placement: "adjacent",
+		Family: "confine-one", Horizon: 512,
+	}, pef.WithObservers(visited))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("visited %d nodes (limit %d): confined=%t\n",
-		report.DistinctVisited, report.Limit, report.Confined)
+		visited.Distinct(), 2, visited.ConfinedTo(2))
 	// Output:
 	// visited 2 nodes (limit 2): confined=true
 }
 
 // Two robots fare no better on rings of size at least four: the four-phase
 // schedule of Theorem 4.1 (Figure 2) confines them to three nodes.
-func ExampleConfineTwoRobots() {
-	report, err := pef.ConfineTwoRobots(context.Background(), pef.PEF2(), 8, 512)
+func ExampleNewConfinementTracker_twoRobots() {
+	visited := pef.NewConfinementTracker()
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: 8, Robots: 2, Algorithm: "pef2", Placement: "adjacent",
+		Family: "confine-two", Horizon: 512,
+	}, pef.WithObservers(visited))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("visited %d nodes (limit %d): confined=%t\n",
-		report.DistinctVisited, report.Limit, report.Confined)
+		visited.Distinct(), 3, visited.ConfinedTo(3))
 	// Output:
 	// visited 3 nodes (limit 3): confined=true
 }
 
 // Explicit placements fix the initial configuration: the paper requires a
 // towerless start with fewer robots than nodes.
-func ExampleExplore_placements() {
-	report, err := pef.Explore(context.Background(), pef.ExploreConfig{
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  pef.Static(6),
-		Horizon:   120,
-		Placements: []pef.Placement{
-			{Node: 0, Chirality: pef.RightIsCW},
-			{Node: 2, Chirality: pef.RightIsCW},
-			{Node: 4, Chirality: pef.RightIsCW},
-		},
-	})
+func ExampleWithPlacements() {
+	verdict, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: 6, Robots: 3, Algorithm: "pef3+", Placement: "random",
+		Family: "static", Horizon: 120,
+	}, pef.WithPlacements(
+		pef.Placement{Node: 0, Chirality: pef.RightIsCW},
+		pef.Placement{Node: 2, Chirality: pef.RightIsCW},
+		pef.Placement{Node: 4, Chirality: pef.RightIsCW},
+	))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("cover time %d, max revisit gap %d\n", report.CoverTime, report.MaxGap)
+	fmt.Printf("cover time %d, max revisit gap %d\n", verdict.CoverTime, verdict.MaxGap)
 	// Output:
 	// cover time 1, max revisit gap 2
 }
@@ -170,7 +177,8 @@ func ExampleMinimize() {
 	}
 	minimal := pef.Minimize(broken)
 	fmt.Printf("minimal reproducer: %s\n", minimal.ID())
-	fmt.Printf("still violating: %t\n", !pef.RunScenario(minimal).OK)
+	verdict, _ := pef.Run(context.Background(), minimal)
+	fmt.Printf("still violating: %t\n", !verdict.OK)
 	// Output:
 	// minimal reproducer: v1/n5.k3/oscillator/adjacent/static/h6/s7/explore
 	// still violating: true

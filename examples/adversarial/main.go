@@ -16,49 +16,43 @@ import (
 	"pef"
 )
 
+// confine runs the confinement adversary of family ("confine-one", the
+// Theorem 5.1 schedule, or "confine-two", Theorem 4.1) against the named
+// algorithm and returns the visited nodes and the diagram of its first
+// rows rounds.
+func confine(family, alg string, robots, n, rows int) (*pef.ConfinementTracker, *pef.Diagram) {
+	visited, diagram := pef.NewConfinementTracker(), pef.NewDiagram(rows)
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: n, Robots: robots, Algorithm: alg, Placement: "adjacent",
+		Family: family, Horizon: 400,
+	}, pef.WithObservers(visited, diagram))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return visited, diagram
+}
+
 func main() {
-	pef.RegisterBuiltins()
 	const n = 8
 
-	bounce, err := pef.NewAlgorithm("bounce-on-missing")
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("=== Theorem 5.1: one robot, ring of size 8 (Figure 3) ===")
-	rep1, diag1, err := pef.ConfineOneRobotWithDiagram(bounce, n, 400, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
+	one, diag1 := confine("confine-one", "bounce-on-missing", 1, n, 10)
 	fmt.Print(diag1)
 	fmt.Printf("\nbounce-on-missing visited %d/%d nodes %v — confined: %t\n\n",
-		rep1.DistinctVisited, n, rep1.VisitedNodes, rep1.Confined)
+		one.Distinct(), n, one.VisitedNodes(), one.ConfinedTo(2))
 
 	fmt.Println("=== Theorem 4.1: two robots, ring of size 8 (Figure 2) ===")
-	rep2, diag2, err := pef.ConfineTwoRobotsWithDiagram(bounce, n, 400, 14)
-	if err != nil {
-		log.Fatal(err)
-	}
+	two, diag2 := confine("confine-two", "bounce-on-missing", 2, n, 14)
 	fmt.Print(diag2)
 	fmt.Printf("\nbounce-on-missing pair visited %d/%d nodes %v — confined: %t\n\n",
-		rep2.DistinctVisited, n, rep2.VisitedNodes, rep2.Confined)
+		two.Distinct(), n, two.VisitedNodes(), two.ConfinedTo(3))
 
 	fmt.Println("=== The paper's own algorithms below their robot requirement ===")
 	for _, name := range []string{"pef3+", "pef2", "pef1"} {
-		alg, err := pef.NewAlgorithm(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		one, err := pef.ConfineOneRobot(context.Background(), alg, n, 400)
-		if err != nil {
-			log.Fatal(err)
-		}
-		two, err := pef.ConfineTwoRobots(context.Background(), alg, n, 400)
-		if err != nil {
-			log.Fatal(err)
-		}
+		one, _ := confine("confine-one", name, 1, n, 0)
+		two, _ := confine("confine-two", name, 2, n, 0)
 		fmt.Printf("%-6s  1 robot: %d nodes (confined %t)   2 robots: %d nodes (confined %t)\n",
-			name, one.DistinctVisited, one.Confined, two.DistinctVisited, two.Confined)
+			name, one.Distinct(), one.ConfinedTo(2), two.Distinct(), two.ConfinedTo(3))
 	}
 	fmt.Println("\nThree robots are not a convenience — they are the computability threshold.")
 }

@@ -24,17 +24,17 @@ func main() {
 		seed     = 77
 	)
 
-	report, err := pef.Explore(context.Background(), pef.ExploreConfig{
-		Nodes:     segments,
-		Robots:    robots,
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  pef.Chain(segments, cut, seed),
-		Horizon:   horizon,
-		Seed:      seed,
-	})
+	// WithDynamics runs an explicit Dynamics value; the scenario's Family
+	// then only labels the verdict.
+	visits := pef.NewVisitTracker(segments)
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: segments, Robots: robots, Algorithm: "pef3+", Placement: "random",
+		Family: "chain", Horizon: horizon, Seed: seed,
+	}, pef.WithDynamics(pef.Chain(segments, cut, seed)), pef.WithObservers(visits))
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := visits.Report()
 
 	fmt.Printf("Mine gallery: %d chambers in a line (ring with edge %d permanently removed),\n", segments, cut)
 	fmt.Printf("%d sweep robots, transient rockfalls on every other segment\n\n", robots)

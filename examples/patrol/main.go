@@ -28,17 +28,16 @@ func main() {
 	// shut, but no door can stay shut more than 4 consecutive rounds
 	// (fire regulations, say). This is the block-pointed stress adversary —
 	// the worst connected-over-time behaviour the theory still tolerates.
-	report, err := pef.Explore(context.Background(), pef.ExploreConfig{
-		Nodes:     rooms,
-		Robots:    guards,
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  pef.BlockPointed(rooms, 4),
-		Horizon:   shift,
-		Seed:      seed,
-	})
+	visits := pef.NewVisitTracker(rooms)
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: rooms, Robots: guards, Algorithm: "pef3+", Placement: "random",
+		Family: "block-pointed", Params: pef.ScenarioParams{Budget: 4},
+		Horizon: shift, Seed: seed,
+	}, pef.WithObservers(visits))
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := visits.Report()
 
 	fmt.Printf("Patrolling %d rooms with %d guards for %d rounds\n", rooms, guards, shift)
 	fmt.Printf("(adversarial doors: every door a guard approaches closes, budget 4)\n\n")

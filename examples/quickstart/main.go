@@ -20,17 +20,16 @@ func main() {
 		seed    = 42
 	)
 
-	report, err := pef.Explore(context.Background(), pef.ExploreConfig{
-		Nodes:     nodes,
-		Robots:    robots,
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  pef.EventualMissing(nodes, 2, 32, seed),
-		Horizon:   horizon,
-		Seed:      seed,
-	})
+	visits := pef.NewVisitTracker(nodes)
+	_, err := pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: nodes, Robots: robots, Algorithm: "pef3+", Placement: "random",
+		Family: "eventual-missing", Params: pef.ScenarioParams{Edge: 2, From: 32, P: 0.7, Delta: 4},
+		Horizon: horizon, Seed: seed,
+	}, pef.WithObservers(visits))
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := visits.Report()
 
 	fmt.Printf("PEF_3+ with %d robots on an %d-node connected-over-time ring\n", robots, nodes)
 	fmt.Printf("(edge 2 disappears forever at round 32)\n\n")

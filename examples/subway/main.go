@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,17 +46,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report, diagram, err := pef.ExploreWithDiagram(pef.ExploreConfig{
-		Nodes:     stations,
-		Robots:    inspectors,
-		Algorithm: pef.PEF3Plus(),
-		Dynamics:  line,
-		Horizon:   horizon,
-		Seed:      7,
-	}, 12)
+	visits := pef.NewVisitTracker(stations)
+	diagram := pef.NewDiagram(12)
+	_, err = pef.Run(context.Background(), pef.Scenario{
+		Version: 1, Ring: stations, Robots: inspectors, Algorithm: "pef3+", Placement: "random",
+		Family: "periodic", Horizon: horizon, Seed: 7,
+	}, pef.WithDynamics(line), pef.WithObservers(visits, diagram))
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := visits.Report()
 
 	fmt.Printf("Circular line with %d stations, %d ticket inspectors, period-8 timetables\n\n", stations, inspectors)
 	fmt.Print(diagram)

@@ -7,19 +7,18 @@ import (
 )
 
 func TestExploreWithDiagramRendersRows(t *testing.T) {
-	rep, diagram, err := ExploreWithDiagram(ExploreConfig{
-		Robots:    3,
-		Algorithm: PEF3Plus(),
-		Dynamics:  Static(6),
-		Horizon:   50,
-		Seed:      3,
-	}, 5)
-	if err != nil {
+	d := NewDiagram(5)
+	vt := NewVisitTracker(6)
+	if _, err := Run(context.Background(), Scenario{
+		Version: 1, Ring: 6, Robots: 3, Algorithm: "pef3+", Placement: "random",
+		Family: "static", Horizon: 50, Seed: 3,
+	}, WithObservers(d, vt)); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Covered != 6 {
+	if rep := vt.Report(); rep.Covered != 6 {
 		t.Fatalf("not covered: %s", rep)
 	}
+	diagram := d.String()
 	lines := strings.Split(strings.TrimRight(diagram, "\n"), "\n")
 	if len(lines) != 6 { // header + 5 rows
 		t.Fatalf("diagram has %d lines:\n%s", len(lines), diagram)
@@ -29,39 +28,48 @@ func TestExploreWithDiagramRendersRows(t *testing.T) {
 	}
 }
 
+// TestExploreWithDiagramValidation: a run the oracle rejects executes no
+// round, so the diagram stays empty; zero rows render nothing either.
 func TestExploreWithDiagramValidation(t *testing.T) {
-	if _, _, err := ExploreWithDiagram(ExploreConfig{}, 4); err == nil {
-		t.Error("empty config accepted")
-	}
-	if _, _, err := ExploreWithDiagram(ExploreConfig{
-		Algorithm: PEF1(), Dynamics: Static(4), Robots: 9,
-	}, 4); err == nil {
+	d := NewDiagram(4)
+	if _, err := Run(context.Background(), Scenario{
+		Version: 1, Ring: 4, Robots: 9, Algorithm: "pef1", Placement: "random",
+		Family: "static", Horizon: 50,
+	}, WithObservers(d)); err == nil {
 		t.Error("oversized team accepted")
+	}
+	if d.String() != "" {
+		t.Errorf("rejected run rendered a diagram:\n%s", d)
+	}
+	empty := NewDiagram(0)
+	if _, err := Run(context.Background(), exploreScenario(), WithObservers(empty)); err != nil {
+		t.Fatal(err)
+	}
+	if empty.String() != "" {
+		t.Error("rows=0 should render nothing")
 	}
 }
 
 func TestConfineWithDiagramVariants(t *testing.T) {
-	rep1, d1, err := ConfineOneRobotWithDiagram(PEF3Plus(), 8, 200, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Confined || !strings.Contains(d1, "~") {
-		t.Fatalf("one-robot diagram missing removals: %+v\n%s", rep1, d1)
-	}
-	rep2, d2, err := ConfineTwoRobotsWithDiagram(PEF3Plus(), 8, 200, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Confined || !strings.Contains(d2, "[1]") {
-		t.Fatalf("two-robot diagram missing robots: %+v\n%s", rep2, d2)
-	}
-	// Zero rows disables rendering.
-	_, d3, err := ConfineOneRobotWithDiagram(PEF3Plus(), 8, 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 != "" {
-		t.Fatal("rows=0 should render nothing")
+	for _, c := range []struct {
+		family string
+		k      int
+		want   string // a marker the schedule must show
+	}{
+		{"confine-one", 1, "~"},
+		{"confine-two", 2, "[1]"},
+	} {
+		d := NewDiagram(6)
+		v, err := Run(context.Background(), Scenario{
+			Version: 1, Ring: 8, Robots: c.k, Algorithm: "pef3+", Placement: "adjacent",
+			Family: c.family, Horizon: 200,
+		}, WithObservers(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.OK || !strings.Contains(d.String(), c.want) {
+			t.Fatalf("%s diagram missing %q: %+v\n%s", c.family, c.want, v, d)
+		}
 	}
 }
 
@@ -73,9 +81,7 @@ func TestPeriodicFacadeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Robots: 2, Algorithm: PEF3Plus(), Dynamics: dyn, Horizon: 300, Seed: 9,
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), dyn, 2, 300, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func FuzzScenario(f *testing.F) {
 		// Let the oracle derive the paper's prediction: a failure is then
 		// a genuine theorem-boundary violation, not a mutated claim.
 		s.Expect = ""
-		v := pef.RunScenario(s)
+		v, _ := pef.Run(context.Background(), s)
 		if v.Err != "" {
 			t.Fatalf("execution error on valid spec %s: %s", v.ID, v.Err)
 		}

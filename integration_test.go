@@ -56,14 +56,8 @@ func TestTowerLemmasHoldUnderRandomDynamics(t *testing.T) {
 func TestExplorationHoldsUnderRandomRecurrentDynamics(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
 		n := int(n8%9) + 4 // 4..12
-		rep, err := Explore(context.Background(), ExploreConfig{
-			Robots:    3,
-			Algorithm: PEF3Plus(),
-			Dynamics: fsync.Oblivious{G: dynamics.NewBoundedRecurrence(
-				dynamics.NewBernoulli(n, 0.3, seed), 5, seed^0x77)},
-			Horizon: 120 * n,
-			Seed:    seed,
-		})
+		rep, err := explore(context.Background(), PEF3Plus(), fsync.Oblivious{G: dynamics.NewBoundedRecurrence(
+			dynamics.NewBernoulli(n, 0.3, seed), 5, seed^0x77)}, 3, 120*n, seed)
 		if err != nil {
 			return false
 		}
@@ -79,11 +73,11 @@ func TestExplorationHoldsUnderRandomRecurrentDynamics(t *testing.T) {
 func TestConfinementHoldsForRandomizedVictims(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
 		n := int(n8%14) + 3 // 3..16
-		rep, err := ConfineOneRobot(context.Background(), baseline.LCGWalker{Seed: seed}, n, 48*n)
+		ct, _, err := confine(context.Background(), "confine-one", baseline.LCGWalker{Seed: seed}, n, 48*n)
 		if err != nil {
 			return false
 		}
-		return rep.Confined
+		return ct.ConfinedTo(2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -94,11 +88,11 @@ func TestConfinementHoldsForRandomizedVictims(t *testing.T) {
 func TestTwoRobotConfinementForRandomizedVictims(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
 		n := int(n8%13) + 4 // 4..16
-		rep, err := ConfineTwoRobots(context.Background(), baseline.LCGWalker{Seed: seed}, n, 48*n)
+		ct, _, err := confine(context.Background(), "confine-two", baseline.LCGWalker{Seed: seed}, n, 48*n)
 		if err != nil {
 			return false
 		}
-		return rep.Confined
+		return ct.ConfinedTo(3)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -210,12 +204,7 @@ func TestChiralityIrrelevanceForExploration(t *testing.T) {
 			}
 			placements[i] = fsync.Placement{Node: 2 * i, Chirality: ch}
 		}
-		rep, err := Explore(context.Background(), ExploreConfig{
-			Algorithm:  PEF3Plus(),
-			Dynamics:   EventualMissing(n, 1, 16, uint64(mask)),
-			Horizon:    1600,
-			Placements: placements,
-		})
+		rep, err := explore(context.Background(), PEF3Plus(), EventualMissing(n, 1, 16, uint64(mask)), k, 1600, 0, placements...)
 		if err != nil {
 			t.Fatal(err)
 		}

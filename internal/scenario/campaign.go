@@ -57,15 +57,6 @@ type CampaignConfig struct {
 	// shape-aligned eligible scenarios advance up to 64 seeds per word;
 	// verdicts and reports are byte-identical either way.
 	DisableLockstep bool
-	// LaneWidth is the lane-packing window: the number of consecutive
-	// scenarios planned together, within which shape-aligned runs share
-	// lockstep engine instances. Values < 1 mean 1024 — wide enough that
-	// sampled shapes recur tens of times per window, which is what
-	// amortizes the engine's per-round circuit (64-scenario windows of a
-	// diverse sampler average one to two lanes per shape and gain
-	// nothing). It does not set the work granularity: each lane group and
-	// each scalar scenario of a window is a pool job of its own.
-	LaneWidth int
 	// Telemetry, when non-nil, instruments the whole campaign stack: the
 	// worker pool, the oracle, the lockstep router and the simulators.
 	// Purely observational — verdict streams and every report stay
@@ -76,8 +67,8 @@ type CampaignConfig struct {
 	// computed clean verdicts are offered to Store. Streams and reports
 	// stay byte-identical with any correct cache attached, because
 	// per-spec verdicts are already invariant under engine blocking
-	// (lockstep vs scalar, any lane width) and a cache only substitutes a
-	// spec's own stored verdict.
+	// (lockstep vs scalar, any packing window) and a cache only
+	// substitutes a spec's own stored verdict.
 	Cache VerdictCache
 	// Trace, when non-nil, receives structured campaign lifecycle events
 	// (campaign-start, block-retired) as JSONL. Events are emitted from
@@ -85,7 +76,22 @@ type CampaignConfig struct {
 	// and no wall clocks, so a trace file is byte-identical for any
 	// worker count.
 	Trace *telemetry.Tracer
+
+	// laneWidth overrides the packing window (packWindow) when positive.
+	// Only in-package tests set it, to pack the same stream at several
+	// widths.
+	laneWidth int
 }
+
+// packWindow is the lane-packing window: the number of consecutive
+// scenarios planned together, within which shape-aligned runs share
+// lockstep engine instances. 1024 is wide enough that sampled shapes recur
+// tens of times per window, which is what amortizes the engine's
+// per-round circuit (64-scenario windows of a diverse sampler average one
+// to two lanes per shape and gain nothing). It does not set the work
+// granularity: each lane group and each scalar scenario of a window is a
+// pool job of its own.
+const packWindow = 1024
 
 // VerdictCache is the campaign-side face of a verdict store (pefserve's
 // content-addressed cache implements it). Lookup returns the verdict of
@@ -163,11 +169,8 @@ func (cfg CampaignConfig) resolved() (CampaignConfig, error) {
 		// indistinguishable from a pre-shard whole-campaign checkpoint.
 		return cfg, fmt.Errorf("scenario: %d shards for %d scenarios (every shard must be non-empty)", cfg.ShardCount, total)
 	}
-	if cfg.LaneWidth < 0 {
-		return cfg, fmt.Errorf("scenario: negative lane width %d", cfg.LaneWidth)
-	}
-	if cfg.LaneWidth == 0 {
-		cfg.LaneWidth = 1024
+	if cfg.laneWidth < 1 {
+		cfg.laneWidth = packWindow
 	}
 	return cfg, nil
 }
@@ -319,7 +322,7 @@ func StreamCampaign(ctx context.Context, cfg CampaignConfig) iter.Seq2[Verdict, 
 // the same worker pool, lane blocking, cache and trace path as
 // StreamCampaign, minus the seeded sampler — yielding one (verdict,
 // error) pair per spec in input order, byte-identical for any worker
-// count and lane width. It is the steering hook of the coverage-guided
+// count and packing window. It is the steering hook of the coverage-guided
 // searcher: generated-then-mutated spec blocks run here without round-
 // tripping through a Generator. The sampler-stream fields of cfg
 // (Generator, Gen, Count, Seeds, the shard selection and Resume) are
@@ -354,7 +357,7 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 // explicit lists.
 //
 // The dispatching goroutine draws the sequence in packing windows of
-// LaneWidth consecutive specs and plans each window: cache hits are
+// packWindow consecutive specs and plans each window: cache hits are
 // served, eligible specs are grouped by shape into lane units, and the
 // rest become scalar units. The units are the pool's jobs, so the lane
 // groups and scalar specs of one window run on every worker. A window
@@ -363,7 +366,7 @@ func StreamSpecs(ctx context.Context, cfg CampaignConfig, specs []Spec) iter.Seq
 // into. A spec is yielded once its own unit and those of every spec
 // before it have retired.
 func streamBlocks(ctx context.Context, rcfg CampaignConfig, reg *Registry, next func() Spec, total int, yield func(Verdict, error) bool) {
-	width := rcfg.LaneWidth
+	width := rcfg.laneWidth
 	blockLen := func(b int) int { return min(width, total-b*width) }
 	window := campaignWindow(rcfg.Workers)
 	// Planning starts while at most window-1 windows hold their permit,

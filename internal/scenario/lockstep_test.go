@@ -99,7 +99,7 @@ func TestCampaignLockstepScalarByteIdentity(t *testing.T) {
 		for _, width := range []int{1, 7, 64} {
 			cfg := base
 			cfg.Workers = workers
-			cfg.LaneWidth = width
+			cfg.laneWidth = width
 			rep, js := render(cfg)
 			if rep != wantRep {
 				t.Errorf("workers=%d width=%d: lockstep report differs from scalar", workers, width)

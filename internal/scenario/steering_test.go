@@ -110,7 +110,7 @@ func TestStreamSpecsOrderAndIdentity(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, width := range []int{64, 1024} {
 				for _, cached := range []bool{false, true} {
-					cfg := CampaignConfig{Workers: workers, LaneWidth: width}
+					cfg := CampaignConfig{Workers: workers, laneWidth: width}
 					var mc *mapCache
 					if cached {
 						mc = newMapCache()

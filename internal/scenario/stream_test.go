@@ -286,7 +286,7 @@ func TestStreamSpecsCancellationMidWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	i, cancelledAt := 0, -1
-	for v, serr := range StreamSpecs(ctx, CampaignConfig{Workers: 1, LaneWidth: 1024}, specs) {
+	for v, serr := range StreamSpecs(ctx, CampaignConfig{Workers: 1}, specs) {
 		cancel() // after the first verdict: the window's other units are queued
 		if i >= len(specs) {
 			t.Fatal("more verdicts than specs")
@@ -356,7 +356,7 @@ func TestStreamSpecsWindowBoundsPlanning(t *testing.T) {
 	yielded := make(chan int)
 	go func() {
 		n := 0
-		for _, serr := range StreamSpecs(context.Background(), CampaignConfig{Workers: workers, LaneWidth: width, Cache: sc}, specs) {
+		for _, serr := range StreamSpecs(context.Background(), CampaignConfig{Workers: workers, laneWidth: width, Cache: sc}, specs) {
 			if serr != nil {
 				t.Error(serr)
 			}

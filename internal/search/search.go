@@ -20,7 +20,7 @@
 // runs. Every random draw comes from prng.Hash3 keyed by (seed,
 // generation, slot) — no wall clocks, no global state — and planning,
 // folding and reporting are single-threaded, so a fixed-seed search is
-// byte-identical for any worker count and lane width.
+// byte-identical for any worker count and engine path.
 package search
 
 import (
@@ -86,11 +86,9 @@ type Config struct {
 	// (Families filter or FamilyWeights), exactly like the "registered"
 	// generator.
 	Gen scenario.GenConfig
-	// Workers (the pool size), LaneWidth (the lane-packing window) and
-	// DisableLockstep configure the engine like CampaignConfig; none of
-	// them affects output bytes.
+	// Workers (the pool size) and DisableLockstep configure the engine
+	// like CampaignConfig; neither affects output bytes.
 	Workers         int
-	LaneWidth       int
 	DisableLockstep bool
 	// Telemetry, when non-nil, instruments the run: the engine stack as
 	// usual plus the search.* instruments (generations, samples,
@@ -100,8 +98,8 @@ type Config struct {
 	// Trace, when non-nil, receives search lifecycle events
 	// (search-start, generation, violation-found, search-end) —
 	// deterministic fields only, byte-identical for any worker count and
-	// lane width. The engine's own block events are deliberately not
-	// forwarded: block boundaries depend on the lane width, and the
+	// engine path. The engine's own block events are deliberately not
+	// forwarded: block boundaries depend on the packing window, and the
 	// search trace must not.
 	Trace *telemetry.Tracer
 	// Resume, when non-nil, continues a checkpointed search: the config
@@ -430,7 +428,6 @@ func (sr *searcher) runGeneration(ctx context.Context, g int) error {
 	for v, err := range scenario.StreamSpecs(ctx, scenario.CampaignConfig{
 		Registry:        sr.reg,
 		Workers:         sr.cfg.Workers,
-		LaneWidth:       sr.cfg.LaneWidth,
 		DisableLockstep: sr.cfg.DisableLockstep,
 		Telemetry:       sr.cfg.Telemetry,
 	}, specs) {

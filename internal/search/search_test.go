@@ -38,8 +38,8 @@ func runToBytes(t *testing.T, cfg Config) (report, trace []byte) {
 }
 
 // A fixed-seed search must produce byte-identical boundary reports and
-// trace event streams for any worker count and lane width, with the
-// lockstep engine on or off.
+// trace event streams for any worker count, with the lockstep engine on
+// or off.
 func TestSearchDeterminism(t *testing.T) {
 	base := testConfig()
 	base.Workers = 1
@@ -49,20 +49,20 @@ func TestSearchDeterminism(t *testing.T) {
 	}
 	variants := []Config{
 		{Workers: 4},
-		{Workers: 7, LaneWidth: 8},
+		{Workers: 7},
 		{Workers: 2, DisableLockstep: true},
 	}
 	for _, v := range variants {
 		cfg := testConfig()
-		cfg.Workers, cfg.LaneWidth, cfg.DisableLockstep = v.Workers, v.LaneWidth, v.DisableLockstep
+		cfg.Workers, cfg.DisableLockstep = v.Workers, v.DisableLockstep
 		report, trace := runToBytes(t, cfg)
 		if !bytes.Equal(report, wantReport) {
-			t.Errorf("boundary report diverges at workers=%d lanewidth=%d lockstep=%v",
-				v.Workers, v.LaneWidth, !v.DisableLockstep)
+			t.Errorf("boundary report diverges at workers=%d lockstep=%v",
+				v.Workers, !v.DisableLockstep)
 		}
 		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("trace diverges at workers=%d lanewidth=%d lockstep=%v",
-				v.Workers, v.LaneWidth, !v.DisableLockstep)
+			t.Errorf("trace diverges at workers=%d lockstep=%v",
+				v.Workers, !v.DisableLockstep)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 //
 // Content addressing is sound here because a Spec pins its execution
 // completely: the same spec replays bit for bit, and verdict bytes are
-// invariant under engine blocking (lockstep vs scalar, any lane width,
-// any worker count) — the repo-wide byte-identity guarantee. The one
+// invariant under engine blocking (lockstep vs scalar, any packing
+// window, any worker count) — the repo-wide byte-identity guarantee. The one
 // hazard is name aliasing: a custom algorithm or family registered under
 // some name would collide with a different process's meaning of that
 // name. Key therefore refuses specs outside the built-in registry

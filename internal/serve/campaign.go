@@ -54,7 +54,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Count:           req.Count,
 		Seeds:           req.Seeds,
 		Workers:         s.cfg.Workers,
-		LaneWidth:       s.cfg.LaneWidth,
 		DisableLockstep: s.cfg.DisableLockstep,
 		Telemetry:       s.tel,
 	}

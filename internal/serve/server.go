@@ -24,7 +24,7 @@
 // byte-identical to the pefscenarios single-process run of the same
 // config — cache on or off, any concurrency — because the server only
 // rides scenario.StreamCampaign + Aggregate, whose bytes are invariant
-// under worker count, lane width, engine path and (by the VerdictCache
+// under worker count, engine path and (by the VerdictCache
 // contract) caching.
 package serve
 
@@ -50,7 +50,7 @@ type Config struct {
 	// Cache, when non-nil, fronts the engines with the content-addressed
 	// verdict store. Nil runs every request fresh.
 	Cache *cache.Cache
-	// Workers, LaneWidth and DisableLockstep size the campaign engine
+	// Workers and DisableLockstep size the campaign engine
 	// exactly like CampaignConfig. They are server-owned — clients never
 	// choose pool shapes, which keeps responses byte-identical across
 	// deployments (the engine guarantees invariance anyway; this keeps
@@ -58,7 +58,6 @@ type Config struct {
 	// every campaign runs under the same Workers budget, and MaxInFlight
 	// bounds how many pools are live at once.
 	Workers         int
-	LaneWidth       int
 	DisableLockstep bool
 	// MaxInFlight bounds concurrently admitted /run + /campaign requests
 	// (values < 1 mean 2×GOMAXPROCS); excess requests are refused with

@@ -87,6 +87,43 @@ func Header(n int) string {
 	return b.String()
 }
 
+// Diagram is an fsync.Observer that keeps the first rows rounds of an
+// execution — each round's edge set E_t and the configuration at time t
+// it ran from — and renders them as a space-time diagram. It is the one
+// way a single run is turned into Figures 2/3-style output: attach it to
+// the run, then print String.
+type Diagram struct {
+	rows  int
+	graph *dyngraph.Recorded
+	snaps []fsync.Snapshot
+}
+
+// NewDiagram returns a diagram observer for the first rows rounds; a
+// non-positive rows renders nothing.
+func NewDiagram(rows int) *Diagram { return &Diagram{rows: rows} }
+
+// ObserveRound implements fsync.Observer. The event's edge set and
+// snapshot are cloned, so the engine may reuse its buffers.
+func (d *Diagram) ObserveRound(ev fsync.RoundEvent) {
+	if len(d.snaps) >= d.rows {
+		return
+	}
+	if d.graph == nil {
+		d.graph = dyngraph.NewRecorded(ev.Edges.Size())
+	}
+	d.graph.Append(ev.Edges)
+	d.snaps = append(d.snaps, ev.Before.Clone())
+}
+
+// String renders the node header and one line per recorded round; it is
+// empty when no round was recorded.
+func (d *Diagram) String() string {
+	if len(d.snaps) == 0 {
+		return ""
+	}
+	return Header(d.graph.Ring().Size()) + SpaceTimeString(d.graph, d.snaps, 0, len(d.snaps))
+}
+
 // Round is the JSON schema of one executed round.
 type Round struct {
 	T         int      `json:"t"`

@@ -159,3 +159,33 @@ func TestFromEventCopies(t *testing.T) {
 		t.Fatalf("edges = %v", r.Edges)
 	}
 }
+
+// TestDiagramMatchesRecordedRendering pins the observer against the
+// record-then-render path it replaces: the same run, observed live,
+// renders the same header and rows, truncated at the requested count.
+func TestDiagramMatchesRecordedRendering(t *testing.T) {
+	g, snaps := runRecorded(t)
+	for _, rows := range []int{0, 1, 4, 6} {
+		d := NewDiagram(rows)
+		sim, err := fsync.New(fsync.Config{
+			Algorithm: baseline.KeepDirection{},
+			Dynamics:  fsync.Oblivious{G: dyngraph.NewEventualMissing(dyngraph.NewStatic(5), 2, 2)},
+			Placements: []fsync.Placement{
+				{Node: 0, Chirality: robot.RightIsCW},
+				{Node: 3, Chirality: robot.RightIsCCW},
+			},
+			Observers: []fsync.Observer{d},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(6)
+		want := ""
+		if rows > 0 {
+			want = Header(5) + SpaceTimeString(g, snaps, 0, rows)
+		}
+		if got := d.String(); got != want {
+			t.Fatalf("rows=%d: diagram observer renders\n%s\nwant\n%s", rows, got, want)
+		}
+	}
+}

@@ -13,7 +13,10 @@
 //   - the evolving-ring simulator and a library of dynamics,
 //   - the impossibility adversaries of Theorems 4.1 and 5.1 as runnable
 //     adaptive dynamics,
-//   - one-call exploration and confinement runs with verdict reports,
+//   - one run path, Run, for every single execution, with observers for
+//     what a run does not summarize in its verdict: per-node visit
+//     reports, the visited-node set under an adversary, and space-time
+//     diagrams,
 //   - the experiment harness regenerating every table and figure of the
 //     paper (see EXPERIMENTS.md),
 //   - the scenario subsystem: declarative scenario specs, seeded random
@@ -38,11 +41,10 @@
 //	// verdict.OK, verdict.Covered, verdict.MaxGap: perpetual exploration.
 //
 // Imperative configurations ride the same path through options
-// (WithDynamics, WithAlgorithm, WithPlacements, WithObservers, WithTrace);
-// the classic Explore/Confine calls remain as thin wrappers. Campaigns
-// stream verdicts with bounded memory via StreamCampaign, checkpoint and
-// resume via CampaignConfig.Resume, and shrink any violation to a minimal
-// reproducer with Minimize.
+// (WithDynamics, WithAlgorithm, WithPlacements, WithObservers, WithTrace).
+// Campaigns stream verdicts with bounded memory via StreamCampaign,
+// checkpoint and resume via CampaignConfig.Resume, and shrink any
+// violation to a minimal reproducer with Minimize.
 package pef
 
 import (
@@ -55,7 +57,6 @@ import (
 	"pef/internal/dynamics"
 	"pef/internal/dyngraph"
 	"pef/internal/fsync"
-	"pef/internal/prng"
 	"pef/internal/robot"
 	"pef/internal/scenario"
 	"pef/internal/spec"
@@ -93,155 +94,6 @@ func PEF2() Algorithm { return core.PEF2{} }
 // PEF1 returns the Section 5.2 algorithm: 1 robot on the 2-node ring.
 func PEF1() Algorithm { return core.PEF1{} }
 
-// ExploreConfig parameterizes a one-call exploration run.
-type ExploreConfig struct {
-	// Nodes is the ring size n (>= 2).
-	Nodes int
-	// Robots is the team size k (< n). Ignored when Placements is set.
-	Robots int
-	// Algorithm is the uniform algorithm; required.
-	Algorithm Algorithm
-	// Dynamics supplies the evolving ring; required (see Static,
-	// Bernoulli, EventualMissing, TInterval, Chain, Roving, BlockPointed).
-	Dynamics Dynamics
-	// Horizon is the number of synchronous rounds to execute.
-	Horizon int
-	// Seed drives the pseudo-random initial placement.
-	Seed uint64
-	// Placements optionally fixes the initial configuration explicitly.
-	Placements []Placement
-}
-
-// explorePlacements validates an ExploreConfig and realizes its initial
-// configuration, shared by Explore and ExploreWithDiagram.
-func explorePlacements(cfg ExploreConfig) ([]Placement, int, error) {
-	if cfg.Algorithm == nil || cfg.Dynamics == nil {
-		return nil, 0, fmt.Errorf("pef: ExploreConfig requires Algorithm and Dynamics")
-	}
-	n := cfg.Dynamics.Ring().Size()
-	if cfg.Nodes != 0 && cfg.Nodes != n {
-		return nil, 0, fmt.Errorf("pef: Nodes=%d disagrees with dynamics ring size %d", cfg.Nodes, n)
-	}
-	if cfg.Horizon < 1 {
-		// A zero-round "run" used to be accepted silently and report
-		// Covered=0; the unified path rejects it loudly instead.
-		return nil, 0, fmt.Errorf("pef: Horizon must be >= 1, got %d (a non-positive horizon executes no rounds)", cfg.Horizon)
-	}
-	placements := cfg.Placements
-	if placements == nil {
-		if cfg.Robots <= 0 || cfg.Robots >= n {
-			return nil, 0, fmt.Errorf("pef: need 0 < Robots < Nodes, got k=%d n=%d", cfg.Robots, n)
-		}
-		placements = fsync.RandomPlacements(n, cfg.Robots, prng.NewSource(cfg.Seed))
-	}
-	return placements, n, nil
-}
-
-// Explore runs a fully synchronous execution under ctx and reports
-// coverage, cover time and the maximum revisit gap — the empirical
-// signature of perpetual exploration. On cancellation it returns the
-// partial report over the rounds that executed together with ctx's error.
-//
-// Deprecated: Explore is a thin wrapper kept for the classic imperative
-// call sites; new code should use Run with a Scenario (plus WithDynamics
-// for dynamics values that no declarative family describes).
-func Explore(ctx context.Context, cfg ExploreConfig) (ExplorationReport, error) {
-	placements, n, err := explorePlacements(cfg)
-	if err != nil {
-		return ExplorationReport{}, err
-	}
-	vt := spec.NewVisitTracker(n)
-	_, err = Run(ctx, Scenario{
-		Version:   scenario.Version,
-		Ring:      n,
-		Robots:    len(placements),
-		Algorithm: cfg.Algorithm.Name(),
-		Family:    "external",
-		Horizon:   cfg.Horizon,
-		Seed:      cfg.Seed,
-		Expect:    scenario.ExpectNone,
-	},
-		WithAlgorithm(cfg.Algorithm),
-		WithDynamics(cfg.Dynamics),
-		WithPlacements(placements...),
-		WithObservers(vt),
-	)
-	if err != nil {
-		return vt.Report(), fmt.Errorf("pef: %w", err)
-	}
-	return vt.Report(), nil
-}
-
-// ConfinementReport is the outcome of an impossibility-adversary run.
-type ConfinementReport struct {
-	// DistinctVisited is how many distinct nodes the robots ever occupied.
-	DistinctVisited int
-	// VisitedNodes lists them.
-	VisitedNodes []int
-	// Limit is the confinement bound predicted by the paper (2 for one
-	// robot, 3 for two robots).
-	Limit int
-	// Confined reports DistinctVisited <= Limit.
-	Confined bool
-}
-
-// confine runs one of the paper's confinement adversaries against alg via
-// the unified Run path: the scenario family selects the theorem adversary
-// and the proof's initial configuration, the injected Algorithm value is
-// the victim, and an extra tracker collects the visited-node list the
-// ConfinementReport exposes.
-func confine(ctx context.Context, family string, alg Algorithm, n, k, horizon, limit int) (ConfinementReport, error) {
-	if alg == nil {
-		return ConfinementReport{}, fmt.Errorf("pef: nil algorithm")
-	}
-	ct := spec.NewConfinementTracker()
-	_, err := Run(ctx, Scenario{
-		Version:   scenario.Version,
-		Ring:      n,
-		Robots:    k,
-		Algorithm: alg.Name(),
-		Placement: scenario.PlaceAdjacent, // label only: the family pins the proof placement
-		Family:    family,
-		Horizon:   horizon,
-		Seed:      0,
-		Expect:    scenario.ExpectConfine,
-	},
-		WithAlgorithm(alg),
-		WithObservers(ct),
-	)
-	rep := ConfinementReport{
-		DistinctVisited: ct.Distinct(),
-		VisitedNodes:    ct.VisitedNodes(),
-		Limit:           limit,
-		Confined:        ct.ConfinedTo(limit),
-	}
-	if err != nil {
-		return rep, fmt.Errorf("pef: %w", err)
-	}
-	return rep, nil
-}
-
-// ConfineOneRobot runs the Theorem 5.1 adversary against alg on an n-node
-// ring (n >= 3) for the given horizon under ctx: the robot visits at most
-// two nodes, whatever alg does. On cancellation it returns the partial
-// report together with ctx's error.
-//
-// Deprecated: ConfineOneRobot is a thin wrapper kept for the classic call
-// sites; new code should use Run with a Family "confine-one" Scenario.
-func ConfineOneRobot(ctx context.Context, alg Algorithm, n, horizon int) (ConfinementReport, error) {
-	return confine(ctx, scenario.FamilyConfineOne, alg, n, 1, horizon, 2)
-}
-
-// ConfineTwoRobots runs the Theorem 4.1 adversary against alg on an n-node
-// ring (n >= 4) under ctx: the two robots visit at most three nodes. On
-// cancellation it returns the partial report together with ctx's error.
-//
-// Deprecated: ConfineTwoRobots is a thin wrapper kept for the classic call
-// sites; new code should use Run with a Family "confine-two" Scenario.
-func ConfineTwoRobots(ctx context.Context, alg Algorithm, n, horizon int) (ConfinementReport, error) {
-	return confine(ctx, scenario.FamilyConfineTwo, alg, n, 2, horizon, 3)
-}
-
 // Static returns the dynamics in which every edge is always present.
 func Static(n int) Dynamics {
 	return fsync.Oblivious{G: dyngraph.NewStatic(n)}
@@ -277,6 +129,18 @@ func Chain(n, cut int, seed uint64) Dynamics {
 // at each instant, rotating every period rounds.
 func Roving(n, period int) Dynamics {
 	return fsync.Oblivious{G: dynamics.NewRovingMissing(n, period)}
+}
+
+// Periodic returns a periodically varying ring: edge e is present at t iff
+// patterns[e][t mod len(patterns[e])] — public-transport style timetables.
+// It returns an error if a pattern is empty or never true (such an edge
+// would break the connected-over-time assumption).
+func Periodic(n int, patterns [][]bool) (Dynamics, error) {
+	g, err := dynamics.NewPeriodic(n, patterns)
+	if err != nil {
+		return nil, fmt.Errorf("pef: %w", err)
+	}
+	return fsync.Oblivious{G: g}, nil
 }
 
 // BlockPointed returns the budgeted stress adversary: every edge a robot
@@ -346,12 +210,6 @@ func ScenarioGenerators() []string {
 func GenerateScenarios(family string, cfg GenConfig, seed uint64, count int) ([]Scenario, error) {
 	return scenario.Generate(family, cfg, seed, count)
 }
-
-// RunScenario executes one scenario and checks the paper's predicate for
-// it: exploration where Table 1 says possible, confinement under the
-// impossibility adversaries. It never panics; failures come back as error
-// verdicts.
-func RunScenario(s Scenario) ScenarioVerdict { return scenario.Run(s) }
 
 // RunCampaign generates Count scenarios per seed from the configured
 // generator and shards them across a worker pool, checking every one

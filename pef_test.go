@@ -11,14 +11,41 @@ var registerOnce sync.Once
 
 func register() { registerOnce.Do(RegisterBuiltins) }
 
+// explore runs alg on dyn through Run with a visit tracker attached and
+// returns the tracker's report. The team is k robots placed at random
+// from seed, or the explicit placements when given; the scenario makes no
+// claim, so the report is the whole result.
+func explore(ctx context.Context, alg Algorithm, dyn Dynamics, k, horizon int, seed uint64, placements ...Placement) (ExplorationReport, error) {
+	n := dyn.Ring().Size()
+	if len(placements) > 0 {
+		k = len(placements)
+	}
+	vt := NewVisitTracker(n)
+	_, err := Run(ctx, Scenario{
+		Version: 1, Ring: n, Robots: k, Algorithm: alg.Name(), Placement: "random",
+		Family: "external", Horizon: horizon, Seed: seed, Expect: "none",
+	}, WithAlgorithm(alg), WithDynamics(dyn), WithPlacements(placements...), WithObservers(vt))
+	return vt.Report(), err
+}
+
+// confine runs alg against one of the confinement adversaries (family
+// "confine-one" or "confine-two") through Run and returns the tracker of
+// the nodes the robots visited.
+func confine(ctx context.Context, family string, alg Algorithm, n, horizon int) (*ConfinementTracker, ScenarioVerdict, error) {
+	k := 1
+	if family == "confine-two" {
+		k = 2
+	}
+	ct := NewConfinementTracker()
+	v, err := Run(ctx, Scenario{
+		Version: 1, Ring: n, Robots: k, Algorithm: alg.Name(), Placement: "adjacent",
+		Family: family, Horizon: horizon,
+	}, WithAlgorithm(alg), WithObservers(ct))
+	return ct, v, err
+}
+
 func TestExploreStaticRing(t *testing.T) {
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Robots:    3,
-		Algorithm: PEF3Plus(),
-		Dynamics:  Static(8),
-		Horizon:   200,
-		Seed:      1,
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), Static(8), 3, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +55,7 @@ func TestExploreStaticRing(t *testing.T) {
 }
 
 func TestExploreEventualMissing(t *testing.T) {
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Robots:    3,
-		Algorithm: PEF3Plus(),
-		Dynamics:  EventualMissing(8, 2, 30, 7),
-		Horizon:   1600,
-		Seed:      7,
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), EventualMissing(8, 2, 30, 7), 3, 1600, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,75 +66,76 @@ func TestExploreEventualMissing(t *testing.T) {
 
 func TestExploreAllThreeAlgorithmsInTheirRange(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  ExploreConfig
+		name    string
+		alg     Algorithm
+		dyn     Dynamics
+		k       int
+		horizon int
+		seed    uint64
 	}{
-		{"pef3+ n=5 k=3", ExploreConfig{Robots: 3, Algorithm: PEF3Plus(), Dynamics: Bernoulli(5, 0.6, 3), Horizon: 1200, Seed: 3}},
-		{"pef2 n=3 k=2", ExploreConfig{Robots: 2, Algorithm: PEF2(), Dynamics: Bernoulli(3, 0.6, 4), Horizon: 1200, Seed: 4}},
-		{"pef1 n=2 k=1", ExploreConfig{Robots: 1, Algorithm: PEF1(), Dynamics: Bernoulli(2, 0.6, 5), Horizon: 800, Seed: 5}},
+		{"pef3+ n=5 k=3", PEF3Plus(), Bernoulli(5, 0.6, 3), 3, 1200, 3},
+		{"pef2 n=3 k=2", PEF2(), Bernoulli(3, 0.6, 4), 2, 1200, 4},
+		{"pef1 n=2 k=1", PEF1(), Bernoulli(2, 0.6, 5), 1, 800, 5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rep, err := Explore(context.Background(), c.cfg)
+			rep, err := explore(context.Background(), c.alg, c.dyn, c.k, c.horizon, c.seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep.Covered != rep.Nodes {
 				t.Fatalf("not covered: %s", rep)
 			}
-			if rep.MaxGap > c.cfg.Horizon/2 {
+			if rep.MaxGap > c.horizon/2 {
 				t.Fatalf("gap too large: %s", rep)
 			}
 		})
 	}
 }
 
+// TestExploreValidation: an imperative run is checked like a declarative
+// one — a team as large as the ring, or dynamics on a ring of another
+// size, is a configuration error, not a silently empty report.
 func TestExploreValidation(t *testing.T) {
-	if _, err := Explore(context.Background(), ExploreConfig{}); err == nil {
-		t.Error("empty config accepted")
-	}
-	if _, err := Explore(context.Background(), ExploreConfig{Algorithm: PEF1(), Dynamics: Static(4), Robots: 4}); err == nil {
+	ctx := context.Background()
+	if _, err := explore(ctx, PEF1(), Static(4), 4, 100, 1); err == nil {
 		t.Error("k = n accepted")
 	}
-	if _, err := Explore(context.Background(), ExploreConfig{Algorithm: PEF1(), Dynamics: Static(4), Robots: 1, Nodes: 5}); err == nil {
-		t.Error("inconsistent Nodes accepted")
+	if _, err := explore(ctx, PEF1(), Static(4), 0, 100, 1); err == nil {
+		t.Error("empty team accepted")
+	}
+	s := exploreScenario()
+	s.Ring = 5
+	if _, err := Run(ctx, s, WithDynamics(Static(4))); err == nil {
+		t.Error("inconsistent ring size accepted")
 	}
 }
 
 func TestConfineOneRobotFacade(t *testing.T) {
-	rep, err := ConfineOneRobot(context.Background(), PEF3Plus(), 8, 400)
+	ct, v, err := confine(context.Background(), "confine-one", PEF3Plus(), 8, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Confined || rep.DistinctVisited > 2 {
-		t.Fatalf("one robot escaped: %+v", rep)
+	if !ct.ConfinedTo(2) || ct.Distinct() > 2 || !v.OK || v.Outcome != "confined" {
+		t.Fatalf("one robot escaped: visited %v, verdict %+v", ct.VisitedNodes(), v)
 	}
-	if len(rep.VisitedNodes) != rep.DistinctVisited {
+	if len(ct.VisitedNodes()) != ct.Distinct() {
 		t.Fatal("VisitedNodes inconsistent")
 	}
 }
 
 func TestConfineTwoRobotsFacade(t *testing.T) {
-	rep, err := ConfineTwoRobots(context.Background(), PEF3Plus(), 8, 400)
+	ct, v, err := confine(context.Background(), "confine-two", PEF3Plus(), 8, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Confined || rep.DistinctVisited > 3 {
-		t.Fatalf("two robots escaped: %+v", rep)
-	}
-	if rep.Limit != 3 {
-		t.Fatalf("limit = %d", rep.Limit)
+	if !ct.ConfinedTo(3) || ct.Distinct() > 3 || !v.OK || v.Outcome != "confined" {
+		t.Fatalf("two robots escaped: visited %v, verdict %+v", ct.VisitedNodes(), v)
 	}
 }
 
 func TestBlockPointedDynamicsFacade(t *testing.T) {
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Robots:    3,
-		Algorithm: PEF3Plus(),
-		Dynamics:  BlockPointed(6, 3),
-		Horizon:   1200,
-		Seed:      11,
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), BlockPointed(6, 3), 3, 1200, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +149,7 @@ func TestChainAndRovingDynamics(t *testing.T) {
 		"chain":  Chain(6, 2, 13),
 		"roving": Roving(6, 3),
 	} {
-		rep, err := Explore(context.Background(), ExploreConfig{
-			Robots:    3,
-			Algorithm: PEF3Plus(),
-			Dynamics:  dyn,
-			Horizon:   1800,
-			Seed:      13,
-		})
+		rep, err := explore(context.Background(), PEF3Plus(), dyn, 3, 1800, 13)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -144,13 +160,7 @@ func TestChainAndRovingDynamics(t *testing.T) {
 }
 
 func TestTIntervalDynamics(t *testing.T) {
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Robots:    3,
-		Algorithm: PEF3Plus(),
-		Dynamics:  TInterval(8, 4, 17),
-		Horizon:   1600,
-		Seed:      17,
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), TInterval(8, 4, 17), 3, 1600, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +191,11 @@ func TestRegistryFacade(t *testing.T) {
 }
 
 func TestExplicitPlacements(t *testing.T) {
-	rep, err := Explore(context.Background(), ExploreConfig{
-		Algorithm: PEF3Plus(),
-		Dynamics:  Static(6),
-		Horizon:   120,
-		Placements: []Placement{
-			{Node: 0, Chirality: RightIsCW},
-			{Node: 2, Chirality: RightIsCCW},
-			{Node: 4, Chirality: RightIsCW},
-		},
-	})
+	rep, err := explore(context.Background(), PEF3Plus(), Static(6), 0, 120, 0,
+		Placement{Node: 0, Chirality: RightIsCW},
+		Placement{Node: 2, Chirality: RightIsCCW},
+		Placement{Node: 4, Chirality: RightIsCW},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

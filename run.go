@@ -7,6 +7,7 @@ import (
 
 	"pef/internal/fsync"
 	"pef/internal/scenario"
+	"pef/internal/spec"
 	"pef/internal/trace"
 )
 
@@ -20,6 +21,30 @@ type ObserverFunc = fsync.ObserverFunc
 
 // RoundEvent describes one completed round, as delivered to observers.
 type RoundEvent = fsync.RoundEvent
+
+// VisitTracker is the observer behind exploration verdicts: attached to a
+// Run, its Report gives per-node visit counts, the cover time and the
+// worst revisit gap.
+type VisitTracker = spec.VisitTracker
+
+// NewVisitTracker returns a visit tracker for an n-node ring.
+func NewVisitTracker(n int) *VisitTracker { return spec.NewVisitTracker(n) }
+
+// ConfinementTracker is the observer behind confinement verdicts:
+// attached to a Run, it lists the distinct nodes the robots ever occupied
+// (Distinct, VisitedNodes, ConfinedTo).
+type ConfinementTracker = spec.ConfinementTracker
+
+// NewConfinementTracker returns an empty confinement tracker.
+func NewConfinementTracker() *ConfinementTracker { return spec.NewConfinementTracker() }
+
+// Diagram is the space-time diagram observer (Figures 2 and 3 style):
+// attached to a Run, its String renders the first rows rounds, one line
+// per instant showing the robots and the missing edges.
+type Diagram = trace.Diagram
+
+// NewDiagram returns a diagram observer for the first rows rounds.
+func NewDiagram(rows int) *Diagram { return trace.NewDiagram(rows) }
 
 // Option customizes a Run beyond what the declarative Scenario pins down.
 type Option func(*runSettings)
@@ -44,9 +69,10 @@ func WithObservers(obs ...Observer) Option {
 }
 
 // WithTrace streams the execution to w as one JSON round record per line
-// (the format read by trace.ReadRounds and the pefjourney/pefmirror
-// tools), turning any Run into a replayable trace without retaining
-// history in memory.
+// (one object per round: t, edges, positions, dirs, states, moved,
+// flipped), turning any Run into an inspectable trace without retaining
+// history in memory. The Scenario itself is the replay handle: running it
+// again reproduces the same execution bit for bit.
 func WithTrace(w io.Writer) Option {
 	return func(s *runSettings) { s.traceSink = w }
 }
@@ -92,9 +118,10 @@ func WithRegistry(r *Registry) Option {
 
 // Run is the unified, context-aware entry point of this package: it
 // executes one Scenario — declarative or assembled via options — under
-// ctx and returns the property oracle's structured verdict for it.
-// Explore, ConfineOneRobot and ConfineTwoRobots are thin wrappers over
-// Run; campaigns stream it at scale via StreamCampaign.
+// ctx and returns the property oracle's structured verdict for it. It is
+// the only single-run path: attach NewVisitTracker, NewConfinementTracker
+// or NewDiagram through WithObservers for what the verdict does not
+// carry, and stream it at scale via StreamCampaign.
 //
 // Configuration problems (non-positive horizon, unknown names,
 // inconsistent overrides) return a non-nil error. When ctx is cancelled

@@ -30,15 +30,15 @@ func TestRunDeclarativeScenario(t *testing.T) {
 	if !v.OK || v.Outcome != "explored" || v.Covered != 8 {
 		t.Fatalf("unified Run verdict: %+v", v)
 	}
-	// Run and the legacy RunScenario agree bit for bit.
-	if legacy := RunScenario(exploreScenario()); legacy != v {
-		t.Fatalf("Run diverges from RunScenario:\n %+v\nvs %+v", v, legacy)
+	// Run is deterministic: the scenario replays bit for bit.
+	if again, err := Run(context.Background(), exploreScenario()); err != nil || again != v {
+		t.Fatalf("Run does not replay:\n %+v\nvs %+v (%v)", v, again, err)
 	}
 }
 
 // TestRunRejectsNonPositiveHorizon is the regression test for the silent
-// zero-round bug: Explore used to accept Horizon <= 0 and report
-// Covered=0 without executing anything.
+// zero-round bug: a run with Horizon <= 0 must be refused, not reported
+// as Covered=0 without executing anything — imperative runs included.
 func TestRunRejectsNonPositiveHorizon(t *testing.T) {
 	s := exploreScenario()
 	s.Horizon = 0
@@ -49,10 +49,8 @@ func TestRunRejectsNonPositiveHorizon(t *testing.T) {
 	if _, err := Run(context.Background(), s); err == nil {
 		t.Fatal("Run accepted a negative horizon")
 	}
-	if _, err := Explore(context.Background(), ExploreConfig{
-		Robots: 3, Algorithm: PEF3Plus(), Dynamics: Static(8), Horizon: 0, Seed: 1,
-	}); err == nil || !strings.Contains(err.Error(), "Horizon") {
-		t.Fatalf("Explore accepted a zero horizon (err=%v)", err)
+	if _, err := explore(context.Background(), PEF3Plus(), Static(8), 3, 0, 1); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Fatalf("imperative run accepted a zero horizon (err=%v)", err)
 	}
 }
 
@@ -114,22 +112,22 @@ func TestRunCancellationReturnsPartialVerdict(t *testing.T) {
 		t.Fatalf("cancelled verdict: %+v", v)
 	}
 
-	// The deprecated wrappers surface the same partial-report behavior.
-	if _, err := Explore(ctx, ExploreConfig{
-		Robots: 3, Algorithm: PEF3Plus(), Dynamics: Static(8), Horizon: 100000, Seed: 1,
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Explore did not propagate cancellation: %v", err)
+	// Imperative and adversary runs surface the same partial-report
+	// behavior.
+	if _, err := explore(ctx, PEF3Plus(), Static(8), 3, 100000, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("imperative run did not propagate cancellation: %v", err)
 	}
-	if _, err := ConfineOneRobot(ctx, PEF3Plus(), 8, 100000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ConfineOneRobot did not propagate cancellation: %v", err)
+	if _, _, err := confine(ctx, "confine-one", PEF3Plus(), 8, 100000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("confinement run did not propagate cancellation: %v", err)
 	}
 }
 
-// TestConfineWrappersMatchUnifiedPath pins the wrapper refactor: the
-// deprecated confinement calls must reproduce the oracle's own adversary
-// runs exactly.
+// TestConfineWrappersMatchUnifiedPath pins the observer route to the
+// confinement evidence: a tracker attached to Run, with the victim passed
+// as an Algorithm value, sees exactly the run the oracle judges from the
+// declarative scenario alone.
 func TestConfineWrappersMatchUnifiedPath(t *testing.T) {
-	rep, err := ConfineOneRobot(context.Background(), PEF3Plus(), 8, 400)
+	ct, _, err := confine(context.Background(), "confine-one", PEF3Plus(), 8, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestConfineWrappersMatchUnifiedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Outcome != "confined" || !v.OK || v.Distinct != rep.DistinctVisited {
-		t.Fatalf("wrapper and unified path disagree: %+v vs %+v", rep, v)
+	if v.Outcome != "confined" || !v.OK || v.Distinct != ct.Distinct() {
+		t.Fatalf("tracker and verdict disagree: %v vs %+v", ct.VisitedNodes(), v)
 	}
 }

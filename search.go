@@ -12,7 +12,7 @@ import (
 // budget toward the theorem boundary — a seeded UCB bandit over the
 // explorable-family pool plus parameter-space mutation of the
 // lowest-margin surviving specs. Fixed-seed searches are byte-identical
-// for any worker count and lane width; see SCENARIOS.md
+// for any worker count and engine path; see SCENARIOS.md
 // "Coverage-guided search".
 type SearchConfig = search.Config
 
